@@ -1,14 +1,17 @@
 """Exact arithmetic in Z[zeta_m] for conductors dividing 24.
 
 Elements are integer vectors in the power basis of Z[x]/Phi_m(x); the
-cyclotomic polynomials are hardcoded, so no factorization machinery is
-needed.  No floating point is used anywhere.
+cyclotomic polynomials of the supported conductors are hardcoded.  Any other
+Phi_k is built on demand, only to split integer polynomials into cyclotomic
+factors (Kronecker's test).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
+from typing import Sequence
 
 from .errors import CapExceededError
 
@@ -43,6 +46,63 @@ def euler_phi(n: int) -> int:
     if m > 1:
         out -= out // m
     return out
+
+
+def _exact_quotient(poly: list[int], monic: Sequence[int]) -> list[int] | None:
+    """poly / monic (ascending coefficients) when the division is exact."""
+    deg = len(monic) - 1
+    rest = list(poly)
+    quot = [0] * (len(poly) - deg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rest[i + deg]
+        if c:
+            quot[i] = c
+            for j, v in enumerate(monic):
+                rest[i + j] -= c * v
+    return None if any(rest[:deg]) else quot
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
+    """Phi_k as an ascending coefficient tuple (monic): x^k - 1 divided by
+    Phi_d for every proper divisor d of k."""
+    poly = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            poly = _exact_quotient(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_up_to(degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(k, Phi_k) for every k with phi(k) <= degree, k increasing.
+
+    phi(k) >= sqrt(k / 2) for every k, so k <= 2 * degree^2.
+    """
+    return tuple(
+        (k, cyclotomic_polynomial(k))
+        for k in range(1, 2 * degree * degree + 1)
+        if euler_phi(k) <= degree
+    )
+
+
+def cyclotomic_factors(poly: Sequence[int]) -> dict[int, int] | None:
+    """Multiplicity of each Phi_k in a monic integer polynomial (ascending
+    coefficients), or None when it is not a product of cyclotomic polynomials.
+
+    Phi_k has degree phi(k), so only the finitely many k with phi(k) at most
+    the degree can divide it (Kronecker; Cohen, A Course in Computational
+    Algebraic Number Theory, 2.2).
+    """
+    rest = list(poly)
+    found: dict[int, int] = {}
+    for k, phi in _cyclotomic_up_to(len(poly) - 1):
+        if len(rest) == 1:
+            break
+        while len(phi) <= len(rest) and (q := _exact_quotient(rest, phi)) is not None:
+            rest = q
+            found[k] = found.get(k, 0) + 1
+    return found if len(rest) == 1 else None
 
 
 def _check_conductor(m: int) -> None:

@@ -268,7 +268,7 @@ def kernel_torsion_scan(
     coefficients from coeff_values, keeps those mapping to 1, and returns the
     ones that are torsion units.
     """
-    from .rings import is_unit, torsion_order
+    from .rings import unit_order
 
     src = psi.source
     n = src.group.order
@@ -296,9 +296,8 @@ def kernel_torsion_scan(
                 elem = src.element(dict(zip(support, coeffs)))
                 if apply_psi(psi, elem) != one:
                     continue
-                if is_unit(elem) is None:
-                    continue
-                if torsion_order(elem) is not None:
+                unit, order = unit_order(elem)
+                if unit and order is not None:
                     found.append(elem)
     return found
 

@@ -14,10 +14,10 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .cocycles import Cocycle, LinearCharacter
-from .cyclotomic import PHI_DEGREE, CycInt, euler_phi
+from .cyclotomic import PHI_DEGREE, CycInt
 from .errors import CapExceededError
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
-from .intmat import det_bareiss, identity_matrix, mat_pow, solve_exact
+from .intmat import det_solve, matrix_order
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class TwElement:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ring.group), self.ring.conductor, self.coeffs))
+        return hash((self.ring.group.order, self.ring.conductor, self.coeffs))
 
     def divide_exact(self, k: int) -> "TwElement":
         """Divide every integer coordinate by k; error if not divisible."""
@@ -296,68 +296,54 @@ def regular_rep(x: TwElement) -> RegRepMatrix:
     return RegRepMatrix(matrix=matrix, dim=dim, source=x)
 
 
+def _rep_rows(x: TwElement) -> list[list[int]]:
+    return [list(r) for r in regular_rep(x).matrix]
+
+
+def _one_coords(dim: int) -> list[int]:
+    """Coordinates of u_1 in the zeta^j u_g basis."""
+    return [1] + [0] * (dim - 1)
+
+
 def is_unit(x: TwElement) -> Optional[TwElement]:
-    """Return the inverse when x is a unit of the Z-order, else None."""
-    rep = regular_rep(x)
-    d = det_bareiss([list(r) for r in rep.matrix])
+    """Return the inverse when x is a unit of the Z-order, else None.
+
+    One fraction-free elimination of [A | e_1], A the regular representation,
+    gives det A and det A * A^-1 e_1; x is a unit exactly when det A = +-1,
+    and then that column, times det A, holds the coordinates of x^-1.
+    """
+    mat = _rep_rows(x)
+    d, col = det_solve(mat, _one_coords(len(mat)))
     if d not in (1, -1):
-        return None
-    rhs = [0] * rep.dim
-    rhs[0] = 1  # coordinates of u_1 in the zeta^j u_g basis
-    sol = solve_exact([list(r) for r in rep.matrix], rhs)
-    if sol is None:
         return None
     ring = x.ring
     phi = PHI_DEGREE[ring.conductor]
-    coeffs = []
-    for g in ring.group.elements():
-        vals = sol[g * phi : (g + 1) * phi]
-        if any(v.denominator != 1 for v in vals):
-            return None
-        coeffs.append(CycInt(ring.conductor, tuple(int(v) for v in vals)))
-    inv = TwElement(ring, tuple(coeffs))
+    inv = TwElement(
+        ring,
+        tuple(
+            CycInt(ring.conductor, tuple(d * v for v in col[g * phi : (g + 1) * phi]))
+            for g in ring.group.elements()
+        ),
+    )
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv
 
 
-def _torsion_exponent_bound(dim: int) -> int:
-    """lcm of all k with phi(k) <= dim: any torsion order divides this."""
-    bound = 1
-    k = 1
-    while True:
-        k += 1
-        if k > 2 * dim * dim + 2:
-            break
-        if euler_phi(k) <= dim:
-            bound = lcm(bound, k)
-    return bound
+def unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:
+    """Whether x is a unit, and if so its multiplicative order (None when
+    infinite or above cap), from one regular representation."""
+    mat = _rep_rows(x)
+    if det_solve(mat, _one_coords(len(mat)))[0] not in (1, -1):
+        return False, None
+    return True, matrix_order(mat, cap)
 
 
 def torsion_order(x: TwElement, cap: Optional[int] = None) -> Optional[int]:
     """Multiplicative order of a unit, or None when infinite (or above cap)."""
-    if is_unit(x) is None:
+    unit, order = unit_order(x, cap)
+    if not unit:
         raise ValueError("torsion order requested for a non-unit")
-    rep = regular_rep(x)
-    mat = [list(r) for r in rep.matrix]
-    ident = identity_matrix(rep.dim)
-    bound = _torsion_exponent_bound(rep.dim)
-    if mat_pow(mat, bound) != ident:
-        return None
-    order = bound
-    p = 2
-    rem = bound
-    while rem > 1:
-        if rem % p:
-            p += 1
-            continue
-        while rem % p == 0:
-            rem //= p
-        while order % p == 0 and mat_pow(mat, order // p) == ident:
-            order //= p
-        p += 1
-    if cap is not None and order > cap:
-        return None
     return order
 
 
@@ -485,9 +471,8 @@ def torsion_units_bounded(
         for support in itertools.combinations(range(n), size):
             for coeffs in itertools.product(nonzero, repeat=size):
                 x = ring.element(dict(zip(support, coeffs)))
-                if is_unit(x) is None:
-                    continue
-                if torsion_order(x) is not None:
+                unit, order = unit_order(x)
+                if unit and order is not None:
                     out.append(x)
     return out
 

@@ -30,7 +30,7 @@ from .rings import (
     conj_character,
     cyclic_sum,
     is_unit,
-    torsion_order,
+    unit_order,
 )
 
 # conductors of the fields with finite unit groups in their ring of integers
@@ -117,9 +117,8 @@ def find_infinite_order_unit(
                 if any(c == 0 for c in coeffs):
                     continue
                 x = ring.element(dict(zip(support, coeffs)))
-                if is_unit(x) is None:
-                    continue
-                if torsion_order(x) is None:
+                unit, order = unit_order(x)
+                if unit and order is None:
                     return x
     return None
 

@@ -6,6 +6,9 @@ from twisted_rings.cyclotomic import (
     CycInt,
     RootOfUnity,
     SUPPORTED_CONDUCTORS,
+    cyclotomic_factors,
+    cyclotomic_polynomial,
+    euler_phi,
     galois_apply,
     is_root_of_unity,
     root_of_unity_order_brute,
@@ -146,3 +149,45 @@ def test_unsupported_conductor_rejected():
         CycInt.integer(1, 5)
     with pytest.raises(CapExceededError):
         CycInt.zeta(16)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_k_minus_1():
+    for k in range(1, 61):
+        prod = [1]
+        for d in range(1, k + 1):
+            if k % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert len(phi) - 1 == euler_phi(d) and phi[-1] == 1
+                prod = _poly_mul(prod, list(phi))
+        assert prod == [-1] + [0] * (k - 1) + [1]
+
+
+def test_cyclotomic_polynomials_match_the_hardcoded_conductors():
+    from twisted_rings.cyclotomic import _PHI
+
+    for m, phi in _PHI.items():
+        assert cyclotomic_polynomial(m) == phi
+    assert cyclotomic_polynomial(105)[7] == -2
+
+
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_cyclotomic_factors_recovers_the_factors(ks):
+    poly = [1]
+    for k in ks:
+        poly = _poly_mul(poly, list(cyclotomic_polynomial(k)))
+    expected = {}
+    for k in ks:
+        expected[k] = expected.get(k, 0) + 1
+    assert cyclotomic_factors(poly) == expected
+    # factors with roots off the unit circle
+    assert cyclotomic_factors(_poly_mul(poly, [1, -3, 1])) is None
+    assert cyclotomic_factors(_poly_mul(poly, [-2, 0, 1])) is None

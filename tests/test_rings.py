@@ -256,3 +256,10 @@ def test_cyclotomic_coefficients_work():
     assert torsion_order(x) == 4
     assert torsion_order(ring.basis(0, i)) == 4
     assert torsion_order(ring.basis(1, i) + 0 * ring.one()) == 4
+
+
+def test_equal_elements_of_separately_built_rings_hash_alike():
+    a = anticommuting_ring(0).one()
+    b = anticommuting_ring(0).one()
+    assert a == b
+    assert len({a, b}) == 1
