@@ -270,10 +270,6 @@ def validate_character(chi: LinearCharacter) -> None:
             raise ValueError(f"character value order at {a} does not divide o({a})")
 
 
-def trivial_character(group: FiniteGroup, modulus: int = 1) -> LinearCharacter:
-    return LinearCharacter(group, modulus, tuple(0 for _ in group.elements()))
-
-
 # ---------------------------------------------------------------------------
 # transgression
 

@@ -141,11 +141,12 @@ def d8_case_study(
     )
 
     # multiplicativity of the projection on every basis pair
+    basis = [src.basis(x) for x in src.group.elements()]
+    images = [apply_psi(psi, u) for u in basis]
     mult_ok = all(
-        apply_psi(psi, src.basis(x) * src.basis(y))
-        == apply_psi(psi, src.basis(x)) * apply_psi(psi, src.basis(y))
-        for x in src.group.elements()
-        for y in src.group.elements()
+        apply_psi(psi, ux * uy) == vx * vy
+        for ux, vx in zip(basis, images)
+        for uy, vy in zip(basis, images)
     )
     items.append(
         D8CaseItem(

@@ -219,7 +219,7 @@ def apply_psi(psi: PsiMap, x: TwElement) -> TwElement:
     g = psi.target.group
     m_t = psi.target.cocycle.modulus
     cond = psi.target.conductor
-    out = [CycInt.integer(0, cond) for _ in g.elements()]
+    out = [psi.target.zero_coeff()] * g.order
     for gamma, coeff in x.items():
         gq, exp = psi.gamma_images[gamma]
         val = coeff.embed(cond) * CycInt.zeta(cond, exp * cond // m_t)
@@ -262,43 +262,71 @@ def kernel_torsion_scan(
     coeff_values: Sequence[int] = (-1, 1),
     support_cap: int = 4,
 ) -> list[TwElement]:
-    """Oracle: all torsion units in ker(psi) with small support and coefficients.
+    """All torsion units in ker(psi) with small support and coefficients.
 
-    Enumerates every element with support <= support_cap and nonzero integer
-    coefficients from coeff_values, keeps those mapping to 1, and returns the
-    ones that are torsion units.
+    psi sends c u_gamma to c zeta^e v_q, so the image coefficient at q is the
+    sum of c zeta^e over the part of the support inside the fibre psi^-1(q).
+    The scan lists, fibre by fibre, the local patterns (a subset of the fibre
+    with coefficients from coeff_values) whose sum is 1 on the identity fibre
+    and 0 on every other fibre, joins patterns from distinct fibres into
+    elements of support <= support_cap, and returns those that map to 1 and
+    are torsion units.  Fibre sums are plain integers when the target twist
+    takes values +-1 and exact elements of Z[zeta] otherwise.
+
+    The result lists exactly the elements a search over every support and
+    coefficient tuple would keep, in its order: by support size, then by
+    support, then by coefficients in itertools.product order.  With 0 in
+    coeff_values, an element is listed once for each support that carries it.
     """
     from .rings import unit_order
 
     src = psi.source
-    n = src.group.order
-    found = []
-    images = psi.gamma_images
     m_t = psi.target.cocycle.modulus
-    rational = m_t in (1, 2)
+    cond = psi.target.conductor
+    fibres: list[list[int]] = [[] for _ in psi.target.group.elements()]
+    roots: list[int | CycInt] = []
+    for gamma, (gq, exp) in enumerate(psi.gamma_images):
+        fibres[gq].append(gamma)
+        roots.append((-1) ** exp if m_t <= 2 else CycInt.zeta(cond, exp * cond // m_t))
+    # patterns[q]: nonempty (fibre subset, coefficient indices) with fibre sum
+    # 1 for the identity q = 0 and 0 otherwise
+    patterns = []
+    for gq, fibre in enumerate(fibres):
+        want = 1 if gq == 0 else 0
+        patterns.append([
+            (sub, idx)
+            for size in range(1, min(len(fibre), support_cap) + 1)
+            for sub in itertools.combinations(fibre, size)
+            for idx in itertools.product(range(len(coeff_values)), repeat=size)
+            if sum(coeff_values[i] * roots[g] for g, i in zip(sub, idx)) == want
+        ])
+
+    def joins(start: int, budget: int):
+        """Patterns from distinct fibres >= start, of total size <= budget."""
+        yield ()
+        for gq in range(start, len(patterns)):
+            for pat in patterns[gq]:
+                if len(pat[0]) <= budget:
+                    for rest in joins(gq + 1, budget - len(pat[0])):
+                        yield (pat,) + rest
+
+    keys = []
+    for pat in patterns[0]:
+        for rest in joins(1, support_cap - len(pat[0])):
+            terms = sorted(t for sub, idx in (pat,) + rest for t in zip(sub, idx))
+            support, idx = zip(*terms)
+            keys.append((len(support), support, idx))
+    keys.sort()
+
+    found = []
     one = psi.target.one()
-    one_img = {0: 1}
-    for size in range(1, support_cap + 1):
-        for support in itertools.combinations(range(n), size):
-            for coeffs in itertools.product(coeff_values, repeat=size):
-                if rational:
-                    # fast integer pre-filter on the image vector
-                    acc: dict[int, int] = {}
-                    for gamma, c in zip(support, coeffs):
-                        gq, exp = images[gamma]
-                        v = acc.get(gq, 0) + (-c if exp else c)
-                        if v:
-                            acc[gq] = v
-                        elif gq in acc:
-                            del acc[gq]
-                    if acc != one_img:
-                        continue
-                elem = src.element(dict(zip(support, coeffs)))
-                if apply_psi(psi, elem) != one:
-                    continue
-                unit, order = unit_order(elem)
-                if unit and order is not None:
-                    found.append(elem)
+    for _, support, idx in keys:
+        elem = src.element({g: coeff_values[i] for g, i in zip(support, idx)})
+        if apply_psi(psi, elem) != one:
+            continue
+        unit, order = unit_order(elem)
+        if unit and order is not None:
+            found.append(elem)
     return found
 
 

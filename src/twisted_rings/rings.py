@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -18,6 +19,12 @@ from .cyclotomic import PHI_DEGREE, CycInt
 from .errors import CapExceededError
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
 from .intmat import det_solve, matrix_order
+
+
+@lru_cache(maxsize=None)
+def _zero(conductor: int) -> CycInt:
+    # CycInt is frozen, so every coefficient vector may share one zero
+    return CycInt.integer(0, conductor)
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class TwRing:
         return self.group.order * PHI_DEGREE[self.conductor]
 
     def zero_coeff(self) -> CycInt:
-        return CycInt.integer(0, self.conductor)
+        return _zero(self.conductor)
 
     def coerce_coeff(self, value) -> CycInt:
         if isinstance(value, CycInt):
@@ -59,12 +66,12 @@ class TwRing:
         return self.basis(0)
 
     def basis(self, g: int, value=1) -> "TwElement":
-        coeffs = [self.zero_coeff() for _ in self.group.elements()]
+        coeffs = [self.zero_coeff()] * self.group.order
         coeffs[g] = self.coerce_coeff(value)
         return TwElement(self, tuple(coeffs))
 
     def element(self, mapping: Mapping[int, object]) -> "TwElement":
-        coeffs = [self.zero_coeff() for _ in self.group.elements()]
+        coeffs = [self.zero_coeff()] * self.group.order
         for g, v in mapping.items():
             coeffs[g] = self.coerce_coeff(v)
         return TwElement(self, tuple(coeffs))

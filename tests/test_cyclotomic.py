@@ -11,10 +11,25 @@ from twisted_rings.cyclotomic import (
     euler_phi,
     galois_apply,
     is_root_of_unity,
-    root_of_unity_order_brute,
     root_to_cyc,
 )
 from twisted_rings.errors import CapExceededError
+
+
+def root_of_unity_order_brute(a: CycInt, cap: int | None = None) -> int | None:
+    """Oracle: least j <= cap with a^j = 1 by repeated exact multiplication."""
+    if cap is None:
+        cap = 2 * a.m * a.m
+    one = CycInt.integer(1, a.m)
+    p = a
+    for j in range(1, cap + 1):
+        if p == one:
+            return j
+        if max(abs(c) for c in p.coeffs) > 1:
+            # power basis coords of roots of unity stay in {-1,0,1}
+            return None
+        p = p * a
+    return None
 
 
 def test_norm_identity_gaussian():

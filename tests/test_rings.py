@@ -7,6 +7,7 @@ from twisted_rings.cyclotomic import CycInt
 from twisted_rings.groups import cyclic, element_order, elementary_abelian_2
 from twisted_rings.intmat import det_bareiss
 from twisted_rings.rings import (
+    TwElement,
     TwRing,
     anticommuting_ring,
     basis_power_exponent,
@@ -263,3 +264,24 @@ def test_equal_elements_of_separately_built_rings_hash_alike():
     b = anticommuting_ring(0).one()
     assert a == b
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 8])
+def test_zero_coefficient_is_shared_per_conductor(conductor):
+    ring = TwRing(cyclic(2), trivial_cocycle(cyclic(2), 1), conductor)
+    z = ring.zero_coeff()
+    assert z.m == conductor and z.is_zero()
+    assert z is ring.zero_coeff()
+    # elements built on the shared zero compare and hash as elements built
+    # from freshly made coefficients
+    fresh = TwRing(cyclic(2), trivial_cocycle(cyclic(2), 1), conductor)
+    for x, coeffs in (
+        (ring.zero(), (0, 0)),
+        (ring.one(), (1, 0)),
+        (ring.basis(1, -1), (0, -1)),
+        (ring.element({1: 3}), (0, 3)),
+        (ring.one() - ring.one(), (0, 0)),
+    ):
+        y = TwElement(fresh, tuple(CycInt.integer(c, conductor) for c in coeffs))
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
