@@ -74,6 +74,7 @@ from .gl2 import (
     sanov_membership,
     unit_index_audit,
 )
-from .d8_case import d8_case_study
+from .d8_case import AuditItem, c2c2_audit, congruence_audit, d8_case_study
+from .errors import CAPS, CapExceededError, Caps
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import cocycles, extensions, gl2, groups, rings, tower, units
-from .d8_case import d8_case_study
-from .errors import CapExceededError
+from . import cocycles, d8_case, extensions, groups, rings, tower, units
+from .d8_case import AuditItem, check
+from .errors import CAPS, CapExceededError, Caps
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -27,46 +27,18 @@ EXIT_CAP = 3
 
 
 @dataclass
-class ReportItem:
-    name: str
-    computed: object
-    claimed: object = None
-    status: str = "verified"
-    source: str = "computed"
-    note: str = ""
-    expected_discrepancy: bool = False
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "computed": self.computed,
-            "status": self.status,
-            "source": self.source,
-        }
-        if self.claimed is not None:
-            out["claimed"] = self.claimed
-        if self.note:
-            out["note"] = self.note
-        if self.expected_discrepancy:
-            out["expected_discrepancy"] = True
-        return out
-
-
-@dataclass
 class Report:
     command: str
     inputs: dict
     seed: int
-    items: list[ReportItem] = field(default_factory=list)
+    items: list[AuditItem] = field(default_factory=list)
     timing: Optional[float] = None
 
-    def add(self, item: ReportItem) -> None:
+    def add(self, item: AuditItem) -> None:
         self.items.append(item)
 
     def ok(self) -> bool:
-        return all(
-            i.status != "refuted" or i.expected_discrepancy for i in self.items
-        )
+        return all(i.ok for i in self.items)
 
     def to_json(self) -> str:
         payload = {
@@ -106,10 +78,6 @@ def _load_json_arg(arg: Optional[str]) -> dict:
     return json.loads(text)
 
 
-def _load_group(spec: dict) -> groups.FiniteGroup:
-    return groups.group_from_json(spec)
-
-
 def _load_cocycle(spec: dict) -> cocycles.Cocycle:
     if "builtin" in spec:
         name = spec["builtin"]
@@ -120,10 +88,10 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
         if name == "c2c2_matrix":
             return cocycles.c2c2_matrix_cocycle()
         if name == "trivial":
-            g = _load_group(spec["group"])
+            g = groups.group_from_json(spec["group"])
             return cocycles.trivial_cocycle(g, spec.get("m", 1))
         raise ValueError(f"unknown builtin cocycle {name!r}")
-    g = _load_group(spec["group"])
+    g = groups.group_from_json(spec["group"])
     table = tuple(tuple(int(v) for v in row) for row in spec["table"])
     return cocycles.Cocycle(g, int(spec["m"]), table)
 
@@ -131,11 +99,9 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
 def _load_ring(spec: dict) -> rings.TwRing:
     c = _load_cocycle(spec["cocycle"] if "cocycle" in spec else spec)
     conductor = int(spec.get("conductor", max(2, c.modulus)))
+    if conductor > (cap := CAPS.get().conductor):
+        raise CapExceededError(f"conductor {conductor} exceeds cap {cap}")
     return rings.TwRing(c.group, c, conductor)
-
-
-def _load_element(ring: rings.TwRing, spec: dict) -> rings.TwElement:
-    return rings.element_from_json(ring, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +109,10 @@ def _load_element(ring: rings.TwRing, spec: dict) -> rings.TwElement:
 
 
 def _cmd_group_validate(args, report: Report) -> None:
-    g = _load_group(_load_json_arg(args.file))
+    g = groups.group_from_json(_load_json_arg(args.file))
     report.add(
-        ReportItem(
-            name="group is valid",
-            computed={"order": g.order, "abelian": groups.is_abelian(g)},
+        check(
+            "group is valid", True, {"order": g.order, "abelian": groups.is_abelian(g)}
         )
     )
 
@@ -157,26 +122,27 @@ def _cmd_cocycle(args, report: Report) -> None:
     if args.action == "validate":
         rep = cocycles.validate_cocycle(c)
         report.add(
-            ReportItem(
-                name="cocycle identity and normalization",
-                computed={
+            check(
+                "cocycle identity and normalization",
+                rep.ok,
+                {
                     "is_cocycle": rep.is_cocycle,
                     "normalized": rep.is_normalized,
                     "violation": rep.violation,
                 },
-                status="verified" if rep.ok else "refuted",
                 note=rep.message,
             )
         )
     elif args.action == "order":
-        report.add(ReportItem(name="cocycle order", computed=cocycles.cocycle_order(c)))
+        report.add(check("cocycle order", True, cocycles.cocycle_order(c)))
     elif args.action == "galpha":
         ga = cocycles.build_G_alpha(c)
         hist = groups.order_histogram(ga.group)
         report.add(
-            ReportItem(
-                name="basis group",
-                computed={
+            check(
+                "basis group",
+                True,
+                {
                     "order": ga.group.order,
                     "order_histogram": {str(k): v for k, v in sorted(hist.items())},
                     "representative_table": [list(r) for r in c.table],
@@ -187,10 +153,10 @@ def _cmd_cocycle(args, report: Report) -> None:
         other = _load_cocycle(_load_json_arg(args.other))
         witness = cocycles.are_cohomologous(c, other, args.modulus)
         report.add(
-            ReportItem(
-                name=f"cohomologous over mu_{args.modulus}",
-                computed={"witness": list(witness) if witness else None},
-                status="verified" if witness else "refuted",
+            check(
+                f"cohomologous over mu_{args.modulus}",
+                witness,
+                {"witness": list(witness) if witness else None},
                 note="exhaustive search; no witness proves inequivalence",
                 expected_discrepancy=witness is None,
             )
@@ -200,46 +166,48 @@ def _cmd_cocycle(args, report: Report) -> None:
 def _cmd_ring(args, report: Report) -> None:
     ring = _load_ring(_load_json_arg(args.ring))
     if args.action == "mul":
-        x = _load_element(ring, _load_json_arg(args.x))
-        y = _load_element(ring, _load_json_arg(args.y))
-        report.add(ReportItem(name="product", computed=(x * y).to_json()))
+        x = rings.element_from_json(ring, _load_json_arg(args.x))
+        y = rings.element_from_json(ring, _load_json_arg(args.y))
+        report.add(check("product", True, (x * y).to_json()))
     elif args.action == "unit":
-        x = _load_element(ring, _load_json_arg(args.x))
+        x = rings.element_from_json(ring, _load_json_arg(args.x))
         inv = rings.is_unit(x)
         report.add(
-            ReportItem(
-                name="unit test",
-                computed={"is_unit": inv is not None, "inverse": inv.to_json() if inv else None},
+            check(
+                "unit test",
+                True,
+                {"is_unit": inv is not None, "inverse": inv.to_json() if inv else None},
             )
         )
     elif args.action == "torsion":
-        x = _load_element(ring, _load_json_arg(args.x))
-        order = rings.torsion_order(x)
-        report.add(ReportItem(name="torsion order", computed=order))
+        x = rings.element_from_json(ring, _load_json_arg(args.x))
+        report.add(check("torsion order", True, rings.torsion_order(x)))
     elif args.action == "scan":
         bad = rings.berman_higman_violations(
             ring, support_cap=args.support if args.support > 0 else None
         )
         report.add(
-            ReportItem(
-                name="trace-zero scan",
-                claimed="no torsion unit with nonzero identity coefficient"
+            check(
+                "trace-zero scan",
+                not bad,
+                {"violations": [b.to_json() for b in bad]},
+                "no torsion unit with nonzero identity coefficient"
                 " beyond the coefficient-ring units",
-                computed={"violations": [b.to_json() for b in bad]},
-                status="verified" if not bad else "refuted",
+                source="computed",
             )
         )
 
 
 def _cmd_ext(args, report: Report) -> None:
-    g = _load_group(_load_json_arg(args.group))
+    g = groups.group_from_json(_load_json_arg(args.group))
     sub = set(args.normal)
     ext = extensions.build_extension(g, sub, section_map=args.section)
     if args.action == "build":
         report.add(
-            ReportItem(
-                name="extension data",
-                computed={
+            check(
+                "extension data",
+                True,
+                {
                     "quotient_order": ext.quotient_group.order,
                     "central": ext.is_central,
                     "section": list(ext.section.map),
@@ -258,13 +226,7 @@ def _cmd_ext(args, report: Report) -> None:
             for x in g.elements()
             for y in g.elements()
         )
-        report.add(
-            ReportItem(
-                name="projection multiplicative on basis pairs",
-                computed=ok,
-                status="verified" if ok else "refuted",
-            )
-        )
+        report.add(check("projection multiplicative on basis pairs", ok, ok))
     elif args.action == "kernel":
         basis = extensions.kernel_basis(psi)
         zero = all(
@@ -273,31 +235,30 @@ def _cmd_ext(args, report: Report) -> None:
         tors = extensions.torsion_kernel_units(psi) if ext.is_central else []
         fin = extensions.kernel_finiteness_predicate(psi) if ext.is_central else None
         report.add(
-            ReportItem(
-                name="kernel module basis",
-                computed={"rank": len(basis), "all_map_to_zero": zero},
-                status="verified" if zero else "refuted",
+            check(
+                "kernel module basis",
+                zero,
+                {"rank": len(basis), "all_map_to_zero": zero},
             )
         )
         if ext.is_central:
             report.add(
-                ReportItem(
-                    name="kernel torsion units",
-                    computed=[t.to_json() for t in tors],
-                )
+                check("kernel torsion units", True, [t.to_json() for t in tors])
             )
             report.add(
-                ReportItem(
-                    name="kernel finiteness",
-                    computed={"finite": fin.finite, "clauses": list(fin.clauses)},
+                check(
+                    "kernel finiteness",
+                    True,
+                    {"finite": fin.finite, "clauses": list(fin.clauses)},
                 )
             )
     elif args.action == "components":
         entries = extensions.component_table(ext, field_conductor=args.conductor)
         report.add(
-            ReportItem(
-                name="component table",
-                computed=[
+            check(
+                "component table",
+                True,
+                [
                     {
                         "field_conductor": e.field_conductor,
                         "degree": e.degree,
@@ -315,9 +276,10 @@ def _cmd_units(args, report: Report) -> None:
         ring = _load_ring(_load_json_arg(args.ring))
         verdict = units.decide_finiteness(ring)
         report.add(
-            ReportItem(
-                name="unit group finiteness",
-                computed={
+            check(
+                "unit group finiteness",
+                True,
+                {
                     "finite": verdict.finite,
                     "case": verdict.case,
                     "witness": {
@@ -333,32 +295,28 @@ def _cmd_units(args, report: Report) -> None:
         u = units.minimal_twisted_bicyclic(ring, args.g, args.h)
         inc = u - ring.one()
         report.add(
-            ReportItem(
-                name="twisted bicyclic unit",
-                computed={
+            check(
+                "twisted bicyclic unit",
+                True,
+                {
                     "element": u.to_json(),
                     "increment_square_zero": (inc * inc) == ring.zero(),
                 },
             )
         )
     elif args.action == "obstruct":
-        psi = _psi_for_level(args.n)
-        candidate = _load_element(psi.target, _load_json_arg(args.element))
-        cert = units.parity_obstruction(psi, candidate)
+        psi = d8_case.build_d8_psi(args.n)
+        x = rings.element_from_json(psi.target, _load_json_arg(args.element))
+        cert = units.parity_obstruction(psi, x)
         report.add(
-            ReportItem(
-                name="cokernel obstruction",
-                computed={"certified": cert.certified, "checks": cert.checks},
-                status="verified" if cert.certified else "inconclusive",
+            check(
+                "cokernel obstruction",
+                cert.certified,
+                {"certified": cert.certified, "checks": cert.checks},
                 note=cert.reason,
+                failed="inconclusive",
             )
         )
-
-
-def _psi_for_level(n: int):
-    from .d8_case import build_d8_psi
-
-    return build_d8_psi(n)
 
 
 def _cmd_tower(args, report: Report) -> None:
@@ -378,10 +336,10 @@ def _cmd_tower(args, report: Report) -> None:
             if not tower.u_group_membership(ctx, 1, level - 1, image):
                 failures += 1
         report.add(
-            ReportItem(
-                name=f"split and embed on {args.samples} random units",
-                computed={"failures": failures},
-                status="verified" if failures == 0 else "refuted",
+            check(
+                f"split and embed on {args.samples} random units",
+                failures == 0,
+                {"failures": failures},
             )
         )
     elif args.action == "split":
@@ -389,9 +347,10 @@ def _cmd_tower(args, report: Report) -> None:
         u = tower.random_unit(ctx, level, rng)
         k, s = tower.split_unit(ctx, level, u)
         report.add(
-            ReportItem(
-                name="split trace",
-                computed={
+            check(
+                "split trace",
+                True,
+                {
                     "unit": u.to_json(),
                     "kernel_part": k.to_json(),
                     "complement_part": s.to_json(),
@@ -405,162 +364,31 @@ def _cmd_tower(args, report: Report) -> None:
         x = u * u if tower.u_group_membership(ctx, 1, level, u * u) else None
         if x is None:
             report.add(
-                ReportItem(
-                    name="usplit trace",
-                    computed="sample missed the congruence class",
-                    status="inconclusive",
+                check(
+                    "usplit trace",
+                    False,
+                    "sample missed the congruence class",
+                    failed="inconclusive",
                 )
             )
         else:
             a, b = tower.u_split(ctx, 1, level, x)
             report.add(
-                ReportItem(
-                    name="usplit trace",
-                    computed={"deep": a.to_json(), "shallow": b.to_json()},
+                check(
+                    "usplit trace",
+                    True,
+                    {"deep": a.to_json(), "shallow": b.to_json()},
                 )
             )
 
 
 def _cmd_case(args, report: Report) -> None:
     if args.case == "c2c2":
-        _case_c2c2(report)
+        report.items.extend(d8_case.c2c2_audit())
     elif args.case == "d8":
-        study = d8_case_study(args.n)
-        for item in study.items:
-            report.add(
-                ReportItem(
-                    name=item.name,
-                    claimed=item.claimed,
-                    computed=item.computed,
-                    status=item.status,
-                    note=item.note,
-                    source="published" if item.claimed is not None else "computed",
-                    expected_discrepancy=item.expected_discrepancy,
-                )
-            )
+        report.items.extend(d8_case.d8_case_study(args.n).items)
     elif args.case == "congruence":
-        rep = gl2.congruence_index(args.i)
-        for level in rep.levels:
-            report.add(
-                ReportItem(
-                    name=f"index at modulus {level.modulus}",
-                    claimed=level.published_index,
-                    computed={
-                        "gl2_size": level.gl2_size,
-                        "true_index": level.det_pm1_size,
-                    },
-                    status="verified"
-                    if level.published_index == level.det_pm1_size
-                    else "refuted",
-                    source="published",
-                    expected_discrepancy=level.published_index != level.det_pm1_size,
-                )
-            )
-        report.add(
-            ReportItem(
-                name="successive quotients",
-                computed=list(rep.successive_quotients),
-                note="; ".join(rep.discrepancies),
-            )
-        )
-        if args.depth:
-            audit = gl2.depth_index_audit(args.depth)
-            report.add(
-                ReportItem(
-                    name="congruence depth indices",
-                    claimed=audit.published,
-                    computed={
-                        "indices": list(audit.depth_indices),
-                        "sandwich": list(audit.sandwich_indices),
-                        "free_ranks": list(audit.free_ranks),
-                    },
-                    status="refuted" if audit.flagged else "verified",
-                    note="; ".join(audit.flagged),
-                    source="published",
-                    expected_discrepancy=bool(audit.flagged),
-                )
-            )
-
-
-def _case_c2c2(report: Report) -> None:
-    ring = gl2.model_ring()
-    v = ring.one() + ring.basis(2) - ring.basis(3)
-    w = ring.one() + ring.basis(2) + ring.basis(3)
-    mult_ok = all(
-        gl2.phi_model(ring.basis(x) * ring.basis(y))
-        == gl2.phi_model(ring.basis(x)) * gl2.phi_model(ring.basis(y))
-        for x in range(4)
-        for y in range(4)
-    )
-    report.add(
-        ReportItem(
-            name="matrix model multiplicative on 16 basis pairs",
-            claimed=True,
-            computed=mult_ok,
-            status="verified" if mult_ok else "refuted",
-            source="published",
-        )
-    )
-    report.add(
-        ReportItem(
-            name="images of v and w",
-            claimed="(1 0; 2 1) and (1 2; 0 1)",
-            computed={
-                "v": gl2.phi_model(v).entries(),
-                "w": gl2.phi_model(w).entries(),
-            },
-            status="verified"
-            if gl2.phi_model(v) == gl2.MAT_V and gl2.phi_model(w) == gl2.MAT_W
-            else "refuted",
-            source="published",
-        )
-    )
-    uh = ring.basis(2)
-    ug = ring.basis(1)
-    ugh = ring.basis(3)
-    conj_ok = (
-        uh * v * rings.is_unit(uh) == w
-        and ug * v * rings.is_unit(ug) == rings.is_unit(v)
-        and ugh * v * rings.is_unit(ugh) == rings.is_unit(w)
-    )
-    report.add(
-        ReportItem(
-            name="conjugation relations",
-            claimed="u_h v u_h^-1 = w, u_g v u_g^-1 = v^-1, u_gh v u_gh^-1 = w^-1",
-            computed=conj_ok,
-            status="verified" if conj_ok else "refuted",
-            source="published",
-        )
-    )
-    sample = 0
-    collisions = 0
-    for word in gl2.reduced_words(12, limit=2000):
-        mat = word.evaluate()
-        rec = gl2.sanov_membership(mat)
-        if rec is None or rec.letters != word.letters:
-            collisions += 1
-        if mat.is_identity():
-            collisions += 1
-        sample += 1
-    report.add(
-        ReportItem(
-            name="free-word round trips",
-            claimed="2000 reduced words recover uniquely, none is the identity",
-            computed={"words": sample, "failures": collisions},
-            status="verified" if collisions == 0 else "refuted",
-            source="published",
-        )
-    )
-    audit = gl2.unit_index_audit([v, w], ring)
-    report.add(
-        ReportItem(
-            name="index of the free part",
-            claimed=8,
-            computed=audit.index,
-            status="verified" if audit.index == 8 else "refuted",
-            source="published",
-        )
-    )
+        report.items.extend(d8_case.congruence_audit(args.i, args.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {
-    "json": False,
-    "seed": 0,
-    "cap_group_order": 256,
-    "cap_conductor": 24,
-    "cap_coboundary": 10**7,
-    "cap_word_length": 12,
-}
+_GLOBAL_DEFAULTS = {"json": False, "seed": 0}
+
+
+def _caps(args) -> Caps:
+    """The caps the flags ask for.  The group-order, conductor and word-length
+    caps can only be lowered: the dense tables stop at their defaults."""
+    top = Caps()
+    asked = {k[4:]: v for k, v in vars(args).items() if k.startswith("cap_")}
+    for name in ("group_order", "conductor", "word_length"):
+        if name in asked:
+            asked[name] = min(asked[name], getattr(top, name))
+    return Caps(**asked)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -671,22 +503,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     echoed = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in _GLOBAL_DEFAULTS and v is not None
+        if k not in _GLOBAL_DEFAULTS and not k.startswith("cap_") and v is not None
     }
     report = Report(
         command=" ".join(argv if argv is not None else sys.argv[1:]),
         inputs=echoed,
         seed=args.seed,
     )
-    random.seed(args.seed)
-    # caps can only be lowered: the table-backed conductors stop at 24 and
-    # dense group tables at order 256
-    from . import cyclotomic as _cyc
-
-    groups.GROUP_ORDER_CAP = min(args.cap_group_order, 256)
-    _cyc.CONDUCTOR_CAP = min(args.cap_conductor, 24)
-    cocycles.COBOUNDARY_SEARCH_CAP = args.cap_coboundary
-    gl2.WORD_LENGTH_CAP = min(args.cap_word_length, 12)
+    token = CAPS.set(_caps(args))
     start = time.monotonic()
     try:
         if args.command == "group":
@@ -709,6 +533,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        CAPS.reset(token)
     if args.json:
         print(report.to_json())
     else:

@@ -14,13 +14,11 @@ from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cyclotomic import CycInt, RootOfUnity, root_to_cyc
-from .errors import CapExceededError
+from .errors import CAPS, CapExceededError
 from .groups import FiniteGroup, GroupHom, build_group, element_order, order_histogram
 
 if TYPE_CHECKING:
     from .extensions import ExtensionData
-
-COBOUNDARY_SEARCH_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def are_cohomologous(
     search is exhaustive, None proves the classes differ at this modulus.
     """
     if cap is None:
-        cap = COBOUNDARY_SEARCH_CAP
+        cap = CAPS.get().coboundary
     if c1.group is not c2.group and c1.group != c2.group:
         raise ValueError("cocycles live on different groups")
     g = c1.group

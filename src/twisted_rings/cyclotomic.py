@@ -13,10 +13,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import CapExceededError
+from .errors import CAPS, CapExceededError
 
 SUPPORTED_CONDUCTORS = (1, 2, 3, 4, 6, 8, 12, 24)
-CONDUCTOR_CAP = 24
 
 # Phi_m as ascending coefficient tuples (monic).
 _PHI = {
@@ -175,7 +174,7 @@ class CycInt:
         if self.m == other.m:
             return self, other
         m = lcm(self.m, other.m)
-        if m > CONDUCTOR_CAP or m not in _PHI:
+        if m > CAPS.get().conductor or m not in _PHI:
             raise CapExceededError(
                 f"no common conductor for {self.m} and {other.m} within cap"
             )

@@ -1,19 +1,23 @@
-"""End-to-end audit of the dihedral-over-elementary-abelian projection.
+"""Case-study audits, each returning a list of audit items.
 
-Gamma = D8 x C2^n maps onto G = C2^(n+2) by a -> gh, b -> g, y_i -> x_i
-with kernel <a^2>.  The sign character on the kernel turns the projection
-into a ring map onto the anticommuting twisted ring of G, and everything
-about its unit-group kernel and cokernel is small enough to certify
-exactly: the section below reproduces the matrix-model twist on the nose,
-the torsion kernel is {1, -a^2}, and the cokernel is generated by the
-small unipotent classes, of total size 2^(n+1).
+The main one audits the dihedral-over-elementary-abelian projection end to
+end.  Gamma = D8 x C2^n maps onto G = C2^(n+2) by a -> gh, b -> g,
+y_i -> x_i with kernel <a^2>.  The sign character on the kernel turns the
+projection into a ring map onto the anticommuting twisted ring of G, and
+everything about its unit-group kernel and cokernel is small enough to
+certify exactly: the section below reproduces the matrix-model twist on the
+nose, the torsion kernel is {1, -a^2}, and the cokernel is generated by the
+small unipotent classes, of total size 2^(n+1).  The other two audit the
+order-4 matrix model and the congruence-subgroup indices (from `gl2`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
+from . import gl2
 from .cocycles import LinearCharacter, anticommuting_pair_cocycle
 from .extensions import (
     ExtensionData,
@@ -24,20 +28,72 @@ from .extensions import (
     kernel_torsion_scan,
     torsion_kernel_units,
 )
-from .gl2 import unit_index_audit
 from .groups import dihedral8_times_c2n, elementary_abelian_2, hom_from_gen_images
 from .rings import TwElement, TwRing, is_unit
 from .units import parity_obstruction
 
 
 @dataclass(frozen=True)
-class D8CaseItem:
+class AuditItem:
+    """A computed value, the claim it is checked against if any, and the verdict."""
+
     name: str
-    claimed: object
     computed: object
+    claimed: object
     status: str  # verified / refuted / lower-bound / inconclusive
-    note: str = ""
-    expected_discrepancy: bool = False
+    source: str  # published / computed
+    note: str
+    expected_discrepancy: bool
+
+    @property
+    def ok(self) -> bool:
+        """False only for a refutation that is not a known discrepancy."""
+        return self.status != "refuted" or self.expected_discrepancy
+
+    def to_json(self) -> dict:
+        out = {
+            "name": self.name,
+            "computed": self.computed,
+            "status": self.status,
+            "source": self.source,
+        }
+        if self.claimed is not None:
+            out["claimed"] = self.claimed
+        if self.note:
+            out["note"] = self.note
+        if self.expected_discrepancy:
+            out["expected_discrepancy"] = True
+        return out
+
+
+def check(
+    name: str,
+    ok: object,
+    computed: object,
+    claimed: object = None,
+    *,
+    source: Optional[str] = None,
+    note: str = "",
+    expected_discrepancy: bool = False,
+    passed: str = "verified",
+    failed: str = "refuted",
+) -> AuditItem:
+    """The item of a check that passed (ok is true) or failed.
+
+    An item with a claim audits a published value unless source says
+    otherwise; an item without one only reports a computation.
+    """
+    if source is None:
+        source = "published" if claimed is not None else "computed"
+    return AuditItem(
+        name,
+        computed,
+        claimed,
+        passed if ok else failed,
+        source,
+        note,
+        expected_discrepancy,
+    )
 
 
 @dataclass(frozen=True)
@@ -45,11 +101,11 @@ class D8CaseStudy:
     n: int
     ext: ExtensionData
     psi: PsiMap
-    items: tuple[D8CaseItem, ...]
+    items: tuple[AuditItem, ...]
 
     @property
     def ok(self) -> bool:
-        return all(i.status != "refuted" or i.expected_discrepancy for i in self.items)
+        return all(i.ok for i in self.items)
 
 
 def d8_extension(n: int) -> ExtensionData:
@@ -127,16 +183,16 @@ def d8_case_study(
     chi = sign_character(ext)
     psi = build_psi(ext, chi)
     src, tgt = psi.source, psi.target
-    items: list[D8CaseItem] = []
+    items: list[AuditItem] = []
 
     # the transgressed table is the canonical model table, on the nose
-    canonical = anticommuting_pair_cocycle(n)
+    same_table = tgt.cocycle.table == anticommuting_pair_cocycle(n).table
     items.append(
-        D8CaseItem(
-            name="transgressed twist equals the model table",
-            claimed="table equality",
-            computed=tgt.cocycle.table == canonical.table,
-            status="verified" if tgt.cocycle.table == canonical.table else "refuted",
+        check(
+            "transgressed twist equals the model table",
+            same_table,
+            same_table,
+            "table equality",
         )
     )
 
@@ -149,12 +205,7 @@ def d8_case_study(
         for uy, vy in zip(basis, images)
     )
     items.append(
-        D8CaseItem(
-            name="projection is multiplicative on all basis pairs",
-            claimed=True,
-            computed=mult_ok,
-            status="verified" if mult_ok else "refuted",
-        )
+        check("projection is multiplicative on all basis pairs", mult_ok, mult_ok, True)
     )
 
     # images of the three bicyclic units
@@ -163,33 +214,21 @@ def d8_case_study(
     w_v_inv = w * is_unit(v)
     v_w_inv = v * is_unit(w)
     psi_b1, psi_b2, psi_b3 = (apply_psi(psi, b) for b in (b1, b2, b3))
-    items.append(
-        D8CaseItem(
-            name="psi(b1) = v^2",
-            claimed="v^2",
-            computed=psi_b1 == v * v,
-            status="verified" if psi_b1 == v * v else "refuted",
-        )
-    )
-    items.append(
-        D8CaseItem(
-            name="psi(b2) = w^2",
-            claimed="w^2",
-            computed=psi_b2 == w * w,
-            status="verified" if psi_b2 == w * w else "refuted",
-        )
-    )
+    b1_ok = psi_b1 == v * v
+    b2_ok = psi_b2 == w * w
+    items.append(check("psi(b1) = v^2", b1_ok, b1_ok, "v^2"))
+    items.append(check("psi(b2) = w^2", b2_ok, b2_ok, "w^2"))
     published_b3 = psi_b3 == w_v_inv
     corrected_b3 = psi_b3 == -v_w_inv
     a_sq = src.basis(2 << n)
     b3_inv = 2 * src.one() - b3
     corrected_exact = apply_psi(psi, a_sq * b3_inv) == w_v_inv
     items.append(
-        D8CaseItem(
-            name="psi(b3) = w v^-1 (published form)",
-            claimed="w v^-1",
-            computed="-v w^-1" if corrected_b3 else repr(psi_b3),
-            status="verified" if published_b3 else "refuted",
+        check(
+            "psi(b3) = w v^-1 (published form)",
+            published_b3,
+            "-v w^-1" if corrected_b3 else repr(psi_b3),
+            "w v^-1",
             note=(
                 "psi(b3) has identity coefficient +1 while w v^-1 has -1; the"
                 " exact identities are psi(b3) = -v w^-1 and"
@@ -198,12 +237,13 @@ def d8_case_study(
             expected_discrepancy=True,
         )
     )
+    corrected_ok = corrected_b3 and corrected_exact
     items.append(
-        D8CaseItem(
-            name="psi(b3) = -v w^-1 and psi(a^2 b3^-1) = w v^-1 (corrected)",
-            claimed=True,
-            computed=corrected_b3 and corrected_exact,
-            status="verified" if corrected_b3 and corrected_exact else "refuted",
+        check(
+            "psi(b3) = -v w^-1 and psi(a^2 b3^-1) = w v^-1 (corrected)",
+            corrected_ok,
+            corrected_ok,
+            True,
         )
     )
 
@@ -214,11 +254,11 @@ def d8_case_study(
     scanned = kernel_torsion_scan(psi, support_cap=scan_support_cap)
     scan_ok = all(u in expected for u in scanned)
     items.append(
-        D8CaseItem(
-            name="torsion kernel units",
-            claimed="{1, -a^2}",
-            computed=sorted(repr(u) for u in predicted),
-            status="verified" if ker_ok and scan_ok else "refuted",
+        check(
+            "torsion kernel units",
+            ker_ok and scan_ok,
+            sorted(repr(u) for u in predicted),
+            "{1, -a^2}",
             note=f"bounded scan found {len(scanned)} torsion units, all predicted",
         )
     )
@@ -261,14 +301,16 @@ def d8_case_study(
     total_classes = 1 << (n + 1)
     pairwise_ok = certified == total_classes - 1 and not ratio_failures
     items.append(
-        D8CaseItem(
-            name="cokernel classes from small unipotents",
-            claimed=f"at least 2^{n + 1} = {total_classes} pairwise distinct classes",
-            computed={
+        check(
+            "cokernel classes from small unipotents",
+            pairwise_ok,
+            {
                 "certified_nontrivial": certified,
                 "pairwise_ratios_certified": not ratio_failures,
             },
-            status="lower-bound" if pairwise_ok else "inconclusive",
+            f"at least 2^{n + 1} = {total_classes} pairwise distinct classes",
+            passed="lower-bound",
+            failed="inconclusive",
             note="every nonempty class representative and every pairwise ratio"
             " is certified outside the image",
         )
@@ -284,14 +326,14 @@ def d8_case_study(
         base_w * base_w,
         base_w * is_unit(base_v),
     ]
-    audit = unit_index_audit(image_gens, base_ring)
+    audit = gl2.unit_index_audit(image_gens, base_ring)
     if n == 0:
         items.append(
-            D8CaseItem(
-                name="cokernel size at n = 0",
-                claimed=2,
-                computed=audit.index,
-                status="verified" if audit.index == 2 else "refuted",
+            check(
+                "cokernel size at n = 0",
+                audit.index == 2,
+                audit.index,
+                2,
                 note="index of the generated image subgroup; the certified"
                 " class of v shows the image is proper",
             )
@@ -303,19 +345,116 @@ def d8_case_study(
     ker_side = certified_kernel_side + 1
     product = (audit.index or 0) * ker_side
     items.append(
-        D8CaseItem(
-            name="class count factorization",
-            claimed=f"{audit.index} * {ker_side} = {total_classes}",
-            computed={
+        check(
+            "class count factorization",
+            product == total_classes == certified + 1,
+            {
                 "quotient_side": audit.index,
                 "kernel_side": ker_side,
                 "product": product,
                 "total_classes": certified + 1,
             },
-            status="verified"
-            if product == total_classes == certified + 1
-            else "refuted",
+            f"{audit.index} * {ker_side} = {total_classes}",
         )
     )
 
     return D8CaseStudy(n=n, ext=ext, psi=psi, items=tuple(items))
+
+
+def c2c2_audit() -> list[AuditItem]:
+    """The published facts about the matrix model of the anticommuting C2 x C2 ring."""
+    ring = gl2.model_ring()
+    v, w = _target_generators(ring)
+    mult_ok = all(
+        gl2.phi_model(ring.basis(x) * ring.basis(y))
+        == gl2.phi_model(ring.basis(x)) * gl2.phi_model(ring.basis(y))
+        for x in range(4)
+        for y in range(4)
+    )
+    items = [
+        check("matrix model multiplicative on 16 basis pairs", mult_ok, mult_ok, True),
+        check(
+            "images of v and w",
+            gl2.phi_model(v) == gl2.MAT_V and gl2.phi_model(w) == gl2.MAT_W,
+            {"v": gl2.phi_model(v).entries(), "w": gl2.phi_model(w).entries()},
+            "(1 0; 2 1) and (1 2; 0 1)",
+        ),
+    ]
+    uh = ring.basis(2)
+    ug = ring.basis(1)
+    ugh = ring.basis(3)
+    conj_ok = (
+        uh * v * is_unit(uh) == w
+        and ug * v * is_unit(ug) == is_unit(v)
+        and ugh * v * is_unit(ugh) == is_unit(w)
+    )
+    items.append(
+        check(
+            "conjugation relations",
+            conj_ok,
+            conj_ok,
+            "u_h v u_h^-1 = w, u_g v u_g^-1 = v^-1, u_gh v u_gh^-1 = w^-1",
+        )
+    )
+    sample = 0
+    collisions = 0
+    for word in gl2.reduced_words(12, limit=2000):
+        mat = word.evaluate()
+        rec = gl2.sanov_membership(mat)
+        if rec is None or rec.letters != word.letters:
+            collisions += 1
+        if mat.is_identity():
+            collisions += 1
+        sample += 1
+    items.append(
+        check(
+            "free-word round trips",
+            collisions == 0,
+            {"words": sample, "failures": collisions},
+            "2000 reduced words recover uniquely, none is the identity",
+        )
+    )
+    index = gl2.unit_index_audit([v, w], ring).index
+    items.append(check("index of the free part", index == 8, index, 8))
+    return items
+
+
+def congruence_audit(max_level: int, max_depth: int = 0) -> list[AuditItem]:
+    """The congruence-subgroup indices up to 2^max_level against their
+    closed forms, and with max_depth the congruence-depth filtration too."""
+    rep = gl2.congruence_index(max_level)
+    items = [
+        check(
+            f"index at modulus {level.modulus}",
+            level.published_index == level.det_pm1_size,
+            {"gl2_size": level.gl2_size, "true_index": level.det_pm1_size},
+            level.published_index,
+            expected_discrepancy=level.published_index != level.det_pm1_size,
+        )
+        for level in rep.levels
+    ]
+    items.append(
+        check(
+            "successive quotients",
+            True,
+            list(rep.successive_quotients),
+            note="; ".join(rep.discrepancies),
+        )
+    )
+    if max_depth:
+        audit = gl2.depth_index_audit(max_depth)
+        items.append(
+            check(
+                "congruence depth indices",
+                not audit.flagged,
+                {
+                    "indices": list(audit.depth_indices),
+                    "sandwich": list(audit.sandwich_indices),
+                    "free_ranks": list(audit.free_ranks),
+                },
+                audit.published,
+                note="; ".join(audit.flagged),
+                expected_discrepancy=bool(audit.flagged),
+            )
+        )
+    return items

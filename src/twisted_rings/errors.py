@@ -1,5 +1,27 @@
-"""Shared exception types."""
+"""Size caps, and the error raised when a computation would exceed one."""
+
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 
 class CapExceededError(ValueError):
     """A configured size cap would be exceeded by the requested computation."""
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Size caps of the dense tables and the exhaustive searches.
+
+    The defaults are the largest values the tables support (group order and
+    conductor) or that finish in reasonable time (the searches).  ``CAPS``
+    holds the caps in force in the current context, so a lowered cap lasts
+    only as long as the context that set it and never leaks across threads.
+    """
+
+    group_order: int = 256
+    conductor: int = 24
+    coboundary: int = 10**7
+    word_length: int = 12
+
+
+CAPS: ContextVar[Caps] = ContextVar("caps", default=Caps())

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cocycles import c2c2_matrix_cocycle
-from .errors import CapExceededError
+from .errors import CAPS, CapExceededError
 from .rings import TwElement, TwRing
 
 PEEL_STEP_CAP = 64
-WORD_LENGTH_CAP = 12
 COSET_CAP = 4096
 
 
@@ -203,8 +202,8 @@ def sanov_membership(mat: IntMat2, step_cap: int = PEEL_STEP_CAP) -> Optional[Sa
 
 def reduced_words(max_length: int, limit: Optional[int] = None) -> Iterator[SanovWord]:
     """Reduced words in breadth-first length order (optionally capped)."""
-    if max_length > WORD_LENGTH_CAP:
-        raise CapExceededError(f"word length {max_length} exceeds cap {WORD_LENGTH_CAP}")
+    if max_length > (cap := CAPS.get().word_length):
+        raise CapExceededError(f"word length {max_length} exceeds cap {cap}")
     count = 0
     queue: list[tuple[tuple[str, int], ...]] = [()]
     for length in range(max_length + 1):

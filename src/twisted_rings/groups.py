@@ -10,9 +10,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceededError
+from .errors import CAPS, CapExceededError
 
-GROUP_ORDER_CAP = 256
 EXHAUSTIVE_ASSOC_CAP = 64
 
 
@@ -84,8 +83,8 @@ def build_group(
     n = len(mul)
     if n == 0:
         raise ValueError("empty multiplication table")
-    if n > GROUP_ORDER_CAP:
-        raise CapExceededError(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
+    if n > (cap := CAPS.get().group_order):
+        raise CapExceededError(f"group order {n} exceeds cap {cap}")
     table = []
     for i, row in enumerate(mul):
         if len(row) != n:
@@ -229,8 +228,8 @@ def quaternion8() -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGroup:
     """Direct product with ids packed as x*|B| + y."""
     n = a.order * b.order
-    if n > GROUP_ORDER_CAP:
-        raise CapExceededError(f"product order {n} exceeds cap {GROUP_ORDER_CAP}")
+    if n > (cap := CAPS.get().group_order):
+        raise CapExceededError(f"product order {n} exceeds cap {cap}")
     nb = b.order
     mul = []
     for x in range(n):

@@ -1,0 +1,70 @@
+"""Byte-stability guard: the --json report of one command per report family.
+
+The digests pin the exact output bytes, so a refactor of how reports are
+built must leave every byte of them as it was.  A deliberate change of a
+report's content or layout updates the digest here, in the same change.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from twisted_rings.cli import EXIT_OK, run
+
+QUAT_RING = '{"cocycle": {"builtin": "quaternion"}, "conductor": 2}'
+QUAT_COCYCLE = '{"builtin": "quaternion"}'
+MATRIX_COCYCLE = '{"builtin": "c2c2_matrix"}'
+V = json.dumps(
+    {"coeffs": [{"g": 0, "m": 2, "c": [1]}, {"g": 2, "m": 2, "c": [1]}, {"g": 3, "m": 2, "c": [-1]}]}
+)
+D8 = json.dumps({"preset": "dihedral8"})
+
+CASES = [
+    (
+        ["case", "d8", "--n", "0"],
+        "306e5116e78de91af2d050513f0b74374a871d625dd6a5662c9b452d81aba54e",
+    ),
+    (
+        ["case", "c2c2", "--check-all"],
+        "7037edfe871fda84258160ccdb6279d3d993085e2fde3c984a58df571db5dae9",
+    ),
+    (
+        ["case", "congruence", "--i", "2", "--depth", "1"],
+        "4fc16d48d21c69ab05ef151aa0f228a4d82d29c069278da688d6d394c9bdb1fa",
+    ),
+    (
+        ["ring", "scan", QUAT_RING],
+        "d47539340fb2815612ef4e1ad220233b9103a29f0874fcfde50a29b38a88c38b",
+    ),
+    (  # a witness exists over mu_4
+        ["cocycle", "cohomologous", MATRIX_COCYCLE, "--other", QUAT_COCYCLE, "--modulus", "4"],
+        "306d6552745399761a4b4fb956083d0af8d411a6743574085cc9c3be7e70d071",
+    ),
+    (  # none exists over mu_2: an expected refutation
+        ["cocycle", "cohomologous", MATRIX_COCYCLE, "--other", QUAT_COCYCLE, "--modulus", "2"],
+        "c56a84ee248d6e07695c74beedb830f942e3ccf7e65e7c689fa919c84c4ab09b",
+    ),
+    (
+        ["units", "obstruct", "--n", "0", "--element", V],
+        "568fc6d040ca0a1d9d9a4ac3e9f353a4316367260e7b7b4dbb27b5c35e4d7ee3",
+    ),
+    (
+        ["ext", "kernel", D8, "--normal", "0", "2", "--chi", "1"],
+        "1695c5bedacd6193132915c34df08726ec858c5188dcffed90e5d8a91be89e9c",
+    ),
+    (
+        ["tower", "scan", "--samples", "5"],
+        "e11e892ea7423c12f9c41941f8400a295e1176dc8b1ca241376dfd2ea9f63836",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", CASES, ids=[" ".join(argv[:2]) + f" #{i}" for i, (argv, _) in enumerate(CASES)]
+)
+def test_json_report_bytes_are_pinned(capsys, argv, digest):
+    code = run(["--json"] + argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
