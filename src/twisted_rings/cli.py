@@ -219,13 +219,7 @@ def _cmd_ext(args, report: Report) -> None:
     chi = chars[args.chi]
     psi = extensions.build_psi(ext, chi)
     if args.action == "psi":
-        ok = all(
-            extensions.apply_psi(psi, psi.source.basis(x) * psi.source.basis(y))
-            == extensions.apply_psi(psi, psi.source.basis(x))
-            * extensions.apply_psi(psi, psi.source.basis(y))
-            for x in g.elements()
-            for y in g.elements()
-        )
+        ok = extensions.psi_multiplicative_on_basis(psi)
         report.add(check("projection multiplicative on basis pairs", ok, ok))
     elif args.action == "kernel":
         basis = extensions.kernel_basis(psi)
@@ -545,3 +539,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

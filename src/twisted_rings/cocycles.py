@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .cyclotomic import CycInt, RootOfUnity, root_to_cyc
+from .cyclotomic import CycInt, root_to_cyc
 from .errors import CAPS, CapExceededError
 from .groups import FiniteGroup, GroupHom, build_group, element_order, order_histogram
 
@@ -35,15 +35,6 @@ class Cocycle:
             raise ValueError("cocycle table shape does not match group order")
         if any(not 0 <= v < self.modulus for r in self.table for v in r):
             raise ValueError("table exponents must be reduced mod the value modulus")
-
-    def exponent_at(self, g: int, h: int) -> int:
-        return self.table[g][h]
-
-    def root_at(self, g: int, h: int) -> RootOfUnity:
-        return RootOfUnity(self.modulus, self.table[g][h])
-
-    def value_at(self, g: int, h: int, conductor: int) -> CycInt:
-        return root_to_cyc(self.modulus, self.table[g][h], conductor)
 
     def rescaled(self, new_modulus: int) -> "Cocycle":
         """Same cocycle expressed with exponents modulo a multiple modulus."""
@@ -208,13 +199,14 @@ def cocycle_power(c: Cocycle, i: int) -> Cocycle:
     )
 
 
+def exponent_order(m: int, *exponents: int) -> int:
+    """Order of the subgroup of mu_m generated by the zeta_m^e, e in exponents."""
+    return m // gcd(m, *exponents)
+
+
 def cocycle_order(c: Cocycle) -> int:
     """Least i >= 1 with all table values satisfying value^i = 1."""
-    g = c.modulus
-    for row in c.table:
-        for v in row:
-            g = gcd(g, v)
-    return c.modulus // gcd(c.modulus, g) if g else 1
+    return exponent_order(c.modulus, *(v for row in c.table for v in row))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +225,6 @@ class LinearCharacter:
         if len(self.values) != self.group.order:
             raise ValueError("character value table has wrong length")
 
-    def exponent_at(self, x: int) -> int:
-        return self.values[x]
-
     def value_at(self, x: int, conductor: int) -> CycInt:
         return root_to_cyc(self.modulus, self.values[x], conductor)
 
@@ -246,10 +235,7 @@ class LinearCharacter:
         return all(v == 0 for v in self.values)
 
     def value_order(self) -> int:
-        g = self.modulus
-        for v in self.values:
-            g = gcd(g, v)
-        return self.modulus // gcd(self.modulus, g) if g else 1
+        return exponent_order(self.modulus, *self.values)
 
 
 def validate_character(chi: LinearCharacter) -> None:
@@ -262,9 +248,7 @@ def validate_character(chi: LinearCharacter) -> None:
             if (chi.values[a] + chi.values[b] - chi.values[g.mul[a][b]]) % m:
                 raise ValueError(f"character not multiplicative at ({a},{b})")
     for a in g.elements():
-        o = element_order(g, a)
-        value_order = m // gcd(m, chi.values[a]) if chi.values[a] else 1
-        if o % value_order:
+        if element_order(g, a) % exponent_order(m, chi.values[a]):
             raise ValueError(f"character value order at {a} does not divide o({a})")
 
 

@@ -324,6 +324,7 @@ class RootOfUnity:
         return {"m": self.m, "k": self.k}
 
 
+@lru_cache(maxsize=None)
 def root_to_cyc(m: int, k: int, conductor: int) -> CycInt:
     """zeta_m^k as an element of Z[zeta_conductor], when it lies there.
 

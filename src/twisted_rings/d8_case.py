@@ -26,6 +26,7 @@ from .extensions import (
     build_extension,
     build_psi,
     kernel_torsion_scan,
+    psi_multiplicative_on_basis,
     torsion_kernel_units,
 )
 from .groups import dihedral8_times_c2n, elementary_abelian_2, hom_from_gen_images
@@ -173,11 +174,7 @@ def _target_generators(tgt: TwRing) -> tuple[TwElement, TwElement]:
     return v, w
 
 
-def d8_case_study(
-    n: int,
-    scan_support_cap: int = 4,
-    certify_ratios: bool = True,
-) -> D8CaseStudy:
+def d8_case_study(n: int) -> D8CaseStudy:
     """Run the full audit at level n and collect verdict items."""
     ext = d8_extension(n)
     chi = sign_character(ext)
@@ -197,13 +194,7 @@ def d8_case_study(
     )
 
     # multiplicativity of the projection on every basis pair
-    basis = [src.basis(x) for x in src.group.elements()]
-    images = [apply_psi(psi, u) for u in basis]
-    mult_ok = all(
-        apply_psi(psi, ux * uy) == vx * vy
-        for ux, vx in zip(basis, images)
-        for uy, vy in zip(basis, images)
-    )
+    mult_ok = psi_multiplicative_on_basis(psi)
     items.append(
         check("projection is multiplicative on all basis pairs", mult_ok, mult_ok, True)
     )
@@ -251,7 +242,7 @@ def d8_case_study(
     predicted = torsion_kernel_units(psi)
     expected = {src.one(), -a_sq}
     ker_ok = set(predicted) == expected
-    scanned = kernel_torsion_scan(psi, support_cap=scan_support_cap)
+    scanned = kernel_torsion_scan(psi)
     scan_ok = all(u in expected for u in scanned)
     items.append(
         check(
@@ -290,14 +281,13 @@ def d8_case_study(
         else:
             failures.append(subset)
     ratio_failures = []
-    if certify_ratios:
-        keys = sorted(class_reps, key=sorted)
-        for i, s in enumerate(keys):
-            for t in keys[i + 1 :]:
-                ratio = class_reps[s] * is_unit(class_reps[t])
-                cert = parity_obstruction(psi, ratio)
-                if not cert.certified:
-                    ratio_failures.append((s, t))
+    keys = sorted(class_reps, key=sorted)
+    for i, s in enumerate(keys):
+        for t in keys[i + 1 :]:
+            ratio = class_reps[s] * is_unit(class_reps[t])
+            cert = parity_obstruction(psi, ratio)
+            if not cert.certified:
+                ratio_failures.append((s, t))
     total_classes = 1 << (n + 1)
     pairwise_ok = certified == total_classes - 1 and not ratio_failures
     items.append(

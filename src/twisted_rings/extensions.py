@@ -24,7 +24,7 @@ from .cocycles import (
     trivial_cocycle,
     validate_character,
 )
-from .cyclotomic import CycInt, SUPPORTED_CONDUCTORS, euler_phi
+from .cyclotomic import CycInt, SUPPORTED_CONDUCTORS, euler_phi, root_to_cyc
 from .errors import CapExceededError
 from .groups import (
     FiniteGroup,
@@ -33,6 +33,7 @@ from .groups import (
     element_order,
     exponent,
     is_abelian,
+    order_histogram,
     quotient,
     subgroup_as_group,
     validate_section,
@@ -152,10 +153,6 @@ class PsiMap:
     target: TwRing
     gamma_images: tuple[tuple[int, int], ...]
 
-    def basis_image(self, gamma: int) -> tuple[int, int]:
-        """Image of u_gamma as (quotient element, value exponent)."""
-        return self.gamma_images[gamma]
-
 
 def build_psi(
     ext: ExtensionData,
@@ -222,9 +219,22 @@ def apply_psi(psi: PsiMap, x: TwElement) -> TwElement:
     out = [psi.target.zero_coeff()] * g.order
     for gamma, coeff in x.items():
         gq, exp = psi.gamma_images[gamma]
-        val = coeff.embed(cond) * CycInt.zeta(cond, exp * cond // m_t)
+        val = coeff.embed(cond) * root_to_cyc(m_t, exp, cond)
         out[gq] = out[gq] + val
     return TwElement(psi.target, tuple(out))
+
+
+def psi_multiplicative_on_basis(psi: PsiMap) -> bool:
+    """Whether psi(u_x u_y) = psi(u_x) psi(u_y) for every basis pair (x, y);
+    the basis images are computed once."""
+    src = psi.source
+    basis = [src.basis(x) for x in src.group.elements()]
+    images = [apply_psi(psi, u) for u in basis]
+    return all(
+        apply_psi(psi, ux * uy) == vx * vy
+        for ux, vx in zip(basis, images)
+        for uy, vy in zip(basis, images)
+    )
 
 
 def kernel_basis(psi: PsiMap) -> list[TwElement]:
@@ -287,7 +297,7 @@ def kernel_torsion_scan(
     roots: list[int | CycInt] = []
     for gamma, (gq, exp) in enumerate(psi.gamma_images):
         fibres[gq].append(gamma)
-        roots.append((-1) ** exp if m_t <= 2 else CycInt.zeta(cond, exp * cond // m_t))
+        roots.append((-1) ** exp if m_t <= 2 else root_to_cyc(m_t, exp, cond))
     # patterns[q]: nonempty (fibre subset, coefficient indices) with fibre sum
     # 1 for the identity q = 0 and 0 otherwise
     patterns = []
@@ -546,12 +556,8 @@ def perlis_walker_counts(group: FiniteGroup, field_conductor: int = 1) -> dict[i
     """Multiplicity a_d of the F(zeta_d)-component of F[A] for abelian A."""
     if not is_abelian(group):
         raise ValueError("abelian group required")
-    by_order: dict[int, int] = {}
-    for x in group.elements():
-        o = element_order(group, x)
-        by_order[o] = by_order.get(o, 0) + 1
     counts = {}
-    for d, num in sorted(by_order.items()):
+    for d, num in sorted(order_histogram(group).items()):
         k_d = num // euler_phi(d)
         rel_degree = euler_phi(lcm(field_conductor, d)) // euler_phi(field_conductor)
         counts[d] = k_d * euler_phi(d) // rel_degree

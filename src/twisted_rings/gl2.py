@@ -12,6 +12,7 @@ computations in the unit group and the mod-2^k congruence audits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cocycles import c2c2_matrix_cocycle
@@ -236,12 +237,9 @@ _LETTER_ACTION = {
     3: {"V": ("W", -1), "W": ("V", -1)},
 }
 
-_MODEL_GROUP_MUL = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_MODEL_GROUP_MUL = c2c2_matrix_cocycle().group.mul
 # sign in u_a u_b = sign * u_(ab) for the matrix-model table
-_MODEL_SIGN = tuple(
-    tuple(-1 if (a in (2, 3) and b in (1, 3)) else 1 for b in range(4))
-    for a in range(4)
-)
+_MODEL_SIGN = tuple(tuple((-1) ** v for v in row) for row in c2c2_matrix_cocycle().table)
 
 
 def _act_word(gamma: int, word: SanovWord) -> SanovWord:
@@ -530,30 +528,30 @@ class CongruenceReport:
     discrepancies: tuple[str, ...]
 
 
-def _count_gl2(modulus: int) -> tuple[int, int]:
-    """(|GL2(Z/m)|, #matrices with det = +-1 mod m) by full enumeration."""
-    units = {x for x in range(modulus) if _coprime(x, modulus)}
-    pm1 = {1 % modulus, (modulus - 1) % modulus}
-    total = 0
-    detpm = 0
-    rng = range(modulus)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                bc = b * c
-                for d in rng:
-                    det = (a * d - bc) % modulus
-                    if det in units:
-                        total += 1
-                        if det in pm1:
-                            detpm += 1
-    return total, detpm
+def _det_residue_counts(depth: int, modulus: int, parity: bool = False) -> list[int]:
+    """How many M = I + 2^depth A mod modulus have each determinant residue,
+    A over all residues mod modulus / 2^depth (with parity, only those with
+    A11 = A22 and A12 = A21 mod 2).  At depth 0 M is every matrix mod modulus."""
+    step = 1 << depth
+    span = modulus // step
+    counts = [0] * modulus
+
+    def same_parity(a: int) -> range:
+        return range(a % 2, span, 2) if parity else range(span)
+
+    for a11 in range(span):
+        diag = [(1 + step * a11) * (1 + step * a22) for a22 in same_parity(a11)]
+        for a12 in range(span):
+            for a21 in same_parity(a12):
+                off = step * step * a12 * a21
+                for d in diag:
+                    counts[(d - off) % modulus] += 1
+    return counts
 
 
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
+def _det_pm1(counts: list[int]) -> int:
+    """How many of the counted matrices have determinant +-1."""
+    return sum(counts[r] for r in {1 % len(counts), len(counts) - 1})
 
 
 def congruence_index(max_level: int) -> CongruenceReport:
@@ -570,7 +568,9 @@ def congruence_index(max_level: int) -> CongruenceReport:
     discrepancies = []
     for i in range(1, max_level + 1):
         m = 1 << i
-        total, detpm = _count_gl2(m)
+        counts = _det_residue_counts(0, m)
+        total = sum(c for r, c in enumerate(counts) if gcd(r, m) == 1)
+        detpm = _det_pm1(counts)
         published = 6 if i == 1 else 3 * 2 ** (3 * i)
         levels.append(
             CongruenceLevel(
@@ -610,27 +610,9 @@ def count_depth_units_mod(depth: int, modulus: int) -> int:
     counts at a common modulus M give exact subgroup indices whenever both
     groups contain the kernel of reduction mod M.
     """
-    step = 1 << depth
-    if modulus % (2 * step):
+    if modulus % (2 << depth):
         raise ValueError("modulus must be a multiple of 2^(depth+1)")
-    span = modulus // step
-    pm1 = {1 % modulus, modulus - 1}
-    count = 0
-    for a11 in range(span):
-        for a12 in range(span):
-            for a21 in range(span):
-                if (a12 - a21) % 2:
-                    continue
-                for a22 in range(span):
-                    if (a11 - a22) % 2:
-                        continue
-                    m00 = (1 + step * a11) % modulus
-                    m01 = (step * a12) % modulus
-                    m10 = (step * a21) % modulus
-                    m11 = (1 + step * a22) % modulus
-                    if (m00 * m11 - m01 * m10) % modulus in pm1:
-                        count += 1
-    return count
+    return _det_pm1(_det_residue_counts(depth, modulus, parity=True))
 
 
 @dataclass(frozen=True)
@@ -671,7 +653,7 @@ def depth_index_audit(max_depth: int = 3) -> DepthIndexAudit:
     sandwich = []
     for i in range(1, max_depth + 1):
         big = 1 << (i + 2)
-        gamma_i = _count_congruence_kernel(i, big)
+        gamma_i = _det_pm1(_det_residue_counts(i, big))
         c_i = count_depth_units_mod(i, big)
         if gamma_i % c_i:
             raise ArithmeticError("parity subgroup does not divide the level")
@@ -721,21 +703,3 @@ def depth_index_audit(max_depth: int = 3) -> DepthIndexAudit:
         flagged=tuple(flagged),
     )
 
-
-def _count_congruence_kernel(depth: int, modulus: int) -> int:
-    """#{M mod modulus : M = I mod 2^depth, det = +-1} (no parity shift)."""
-    step = 1 << depth
-    span = modulus // step
-    pm1 = {1 % modulus, modulus - 1}
-    count = 0
-    for a11 in range(span):
-        for a12 in range(span):
-            for a21 in range(span):
-                for a22 in range(span):
-                    m00 = (1 + step * a11) % modulus
-                    m01 = (step * a12) % modulus
-                    m10 = (step * a21) % modulus
-                    m11 = (1 + step * a22) % modulus
-                    if (m00 * m11 - m01 * m10) % modulus in pm1:
-                        count += 1
-    return count

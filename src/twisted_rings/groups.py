@@ -6,13 +6,12 @@ metadata only; every structural question is answered from the tables.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import CAPS, CapExceededError
 
-EXHAUSTIVE_ASSOC_CAP = 64
+ALL_SUBGROUPS_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -28,9 +27,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def label(self, x: int) -> str:
-        return self.labels[x]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
@@ -73,12 +69,10 @@ def build_group(
     labels: Optional[Sequence[str]] = None,
     name: str = "",
     generators: Optional[dict[str, int]] = None,
-    rng: Optional[random.Random] = None,
 ) -> FiniteGroup:
     """Validate a multiplication table and package it as a FiniteGroup.
 
-    Associativity is checked exhaustively up to order 64 and by seeded
-    random sampling above that.
+    Associativity is checked on every triple, at every order.
     """
     n = len(mul)
     if n == 0:
@@ -106,16 +100,7 @@ def build_group(
                 break
         if inverse[x] < 0:
             raise ValueError(f"element {x} has no two-sided inverse")
-    if n <= EXHAUSTIVE_ASSOC_CAP:
-        triples: Iterable[tuple[int, int, int]] = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = rng or random.Random(0)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(20000)
-        )
+    triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
     for a, b, c in triples:
         if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
             raise ValueError(f"associativity fails on ({a},{b},{c})")
@@ -191,7 +176,6 @@ def dihedral8() -> FiniteGroup:
 def quaternion8() -> FiniteGroup:
     """Q8 = {+-1, +-i, +-j, +-k} with ids 0..7 = 1,-1,i,-i,j,-j,k,-k."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
 
     def unit_mul(u: str, v: str) -> tuple[int, str]:
         tbl = {
@@ -221,7 +205,6 @@ def quaternion8() -> FiniteGroup:
             s3, u3 = unit_mul(u1, u2)
             row.append(encode(s1 * s2 * s3, u3))
         mul.append(row)
-    del base
     return build_group(mul, names, name="Q8", generators={"i": 2, "j": 4})
 
 
@@ -390,8 +373,8 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
     Exhaustive; intended for orders <= 64.
     """
-    if g.order > EXHAUSTIVE_ASSOC_CAP:
-        raise CapExceededError(f"subgroup enumeration capped at {EXHAUSTIVE_ASSOC_CAP}")
+    if g.order > ALL_SUBGROUPS_CAP:
+        raise CapExceededError(f"subgroup enumeration capped at {ALL_SUBGROUPS_CAP}")
     subs = {frozenset([0])}
     frontier = {frozenset([0])}
     while frontier:
@@ -434,8 +417,6 @@ def is_hamiltonian_2group(g: FiniteGroup) -> bool:
         return False
     if is_abelian(g):
         return False
-    if n <= EXHAUSTIVE_ASSOC_CAP:
-        return is_dedekind(g, exhaustive=True)
     return is_dedekind(g)
 
 

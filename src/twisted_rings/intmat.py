@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -188,10 +188,3 @@ def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
-
-
-def content(values: list[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

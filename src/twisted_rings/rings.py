@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
-from typing import Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .cocycles import Cocycle, LinearCharacter
-from .cyclotomic import PHI_DEGREE, CycInt
+from .cyclotomic import PHI_DEGREE, CycInt, root_to_cyc
 from .errors import CapExceededError
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
 from .intmat import det_solve, matrix_order
@@ -78,17 +78,6 @@ class TwRing:
 
     def from_int_vector(self, vec: Sequence[int]) -> "TwElement":
         return TwElement(self, tuple(CycInt.integer(v, self.conductor) for v in vec))
-
-    def cocycle_value(self, g: int, h: int) -> CycInt:
-        return self.cocycle.value_at(g, h, self.conductor)
-
-    def basis_inverse(self, g: int) -> "TwElement":
-        """u_g^-1 = alpha(g, g^-1)^-1 u_(g^-1)."""
-        ginv = self.group.inv[g]
-        m = self.cocycle.modulus
-        k = self.cocycle.table[g][ginv]
-        value = CycInt.zeta(self.conductor, (-k % m) * self.conductor // m)
-        return self.basis(ginv, value)
 
     def __repr__(self) -> str:
         return (
@@ -192,6 +181,10 @@ class TwElement:
             out.append(CycInt(c.m, tuple(vals)))
         return TwElement(self.ring, tuple(out))
 
+    def content(self) -> int:
+        """gcd of the integer coordinates in the zeta^j u_g basis (0 for 0)."""
+        return gcd(*(v for c in self.coeffs for v in c.coeffs))
+
     def int_vector(self) -> list[int]:
         """Coefficients as rational integers (requires a rational element)."""
         return [c.as_int() for c in self.coeffs]
@@ -242,7 +235,7 @@ def _tw_mul(x: TwElement, y: TwElement) -> TwElement:
         trow = ring.cocycle.table[g]
         for h, b in y.items():
             gh = row[h]
-            v = a * b * _zeta_cached(ring.conductor, trow[h], ring.cocycle.modulus)
+            v = a * b * root_to_cyc(ring.cocycle.modulus, trow[h], ring.conductor)
             if gh in acc:
                 acc[gh] = acc[gh] + v
             else:
@@ -251,18 +244,6 @@ def _tw_mul(x: TwElement, y: TwElement) -> TwElement:
     return TwElement(
         ring, tuple(acc.get(g, z) for g in ring.group.elements())
     )
-
-
-_ZETA_CACHE: dict[tuple[int, int, int], CycInt] = {}
-
-
-def _zeta_cached(conductor: int, exponent: int, modulus: int) -> CycInt:
-    key = (conductor, exponent, modulus)
-    z = _ZETA_CACHE.get(key)
-    if z is None:
-        z = CycInt.zeta(conductor, exponent * conductor // modulus)
-        _ZETA_CACHE[key] = z
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +269,11 @@ def regular_rep(x: TwElement) -> RegRepMatrix:
     mul = ring.group.mul
     for h in range(n):
         for j in range(phi):
-            zj = CycInt.zeta(ring.conductor, j) if j else CycInt.integer(1, ring.conductor)
+            zj = root_to_cyc(ring.conductor, j, ring.conductor)
             col = cols[h * phi + j]
             for g, a in items:
-                c = a * zj * _zeta_cached(
-                    ring.conductor, ring.cocycle.table[g][h], ring.cocycle.modulus
+                c = a * zj * root_to_cyc(
+                    ring.cocycle.modulus, ring.cocycle.table[g][h], ring.conductor
                 )
                 gh = mul[g][h]
                 for t, v in enumerate(c.coeffs):
@@ -460,6 +441,17 @@ def enumerate_units_bounded(
     return units
 
 
+def small_support_elements(
+    ring: TwRing, values: Sequence[int], support_cap: int
+) -> Iterator[TwElement]:
+    """Elements with 1 to support_cap nonzero coefficients from values, by
+    support size, then support, then coefficients in itertools.product order."""
+    for size in range(1, support_cap + 1):
+        for support in itertools.combinations(ring.group.elements(), size):
+            for coeffs in itertools.product(values, repeat=size):
+                yield ring.element(dict(zip(support, coeffs)))
+
+
 def torsion_units_bounded(
     ring: TwRing,
     coeff_values: Sequence[int] = (-1, 0, 1),
@@ -470,17 +462,13 @@ def torsion_units_bounded(
     When support_cap is given, only elements with at most that many nonzero
     coefficients are enumerated.
     """
-    n = ring.group.order
     nonzero = [v for v in coeff_values if v != 0]
     out = []
-    max_support = support_cap if support_cap is not None else n
-    for size in range(1, max_support + 1):
-        for support in itertools.combinations(range(n), size):
-            for coeffs in itertools.product(nonzero, repeat=size):
-                x = ring.element(dict(zip(support, coeffs)))
-                unit, order = unit_order(x)
-                if unit and order is not None:
-                    out.append(x)
+    max_support = support_cap if support_cap is not None else ring.group.order
+    for x in small_support_elements(ring, nonzero, max_support):
+        unit, order = unit_order(x)
+        if unit and order is not None:
+            out.append(x)
     return out
 
 

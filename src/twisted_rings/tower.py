@@ -59,28 +59,26 @@ def embed_up(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
     return TwElement(hi, tuple(coeffs))
 
 
-def project_psi(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
-    """The retraction x_i -> 1, a ring morphism by centrality of x_i."""
+def _retract(ctx: TowerContext, i: int, x: TwElement, negate: bool) -> TwElement:
+    """x_i -> -1 when negate is set, else x_i -> 1 (the odd ids carry x_i)."""
     lo = ctx.rings[i - 1]
     if x.ring != ctx.rings[i]:
         raise ValueError("element is not at the expected level")
     z = lo.zero_coeff()
     coeffs = [z] * lo.group.order
     for g, c in x.items():
-        coeffs[g // 2] = coeffs[g // 2] + c
+        coeffs[g // 2] = coeffs[g // 2] + (-c if negate and g % 2 else c)
     return TwElement(lo, tuple(coeffs))
+
+
+def project_psi(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
+    """The retraction x_i -> 1, a ring morphism by centrality of x_i."""
+    return _retract(ctx, i, x, negate=False)
 
 
 def project_phi(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
     """The retraction x_i -> -1."""
-    lo = ctx.rings[i - 1]
-    if x.ring != ctx.rings[i]:
-        raise ValueError("element is not at the expected level")
-    z = lo.zero_coeff()
-    coeffs = [z] * lo.group.order
-    for g, c in x.items():
-        coeffs[g // 2] = coeffs[g // 2] + (-c if g % 2 else c)
-    return TwElement(lo, tuple(coeffs))
+    return _retract(ctx, i, x, negate=True)
 
 
 def split_unit(
@@ -120,10 +118,8 @@ def u_group_membership(ctx: TowerContext, k: int, j: int, x: TwElement) -> bool:
     ring = ctx.rings[j]
     if x.ring != ring:
         return False
-    diff = x - ring.one()
-    for c in diff.coeffs:
-        if any(v % (1 << k) for v in c.coeffs):
-            return False
+    if (x - ring.one()).content() % (1 << k):
+        return False
     return is_unit(x) is not None
 
 

@@ -8,12 +8,11 @@ outside the image of a projection map.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .cocycles import Cocycle, build_G_alpha, cocycle_order, cocycle_power
+from .cocycles import build_G_alpha, cocycle_order, cocycle_power, trivial_cocycle
 from .extensions import PsiMap
 from .groups import (
     element_order,
@@ -22,7 +21,6 @@ from .groups import (
     is_hamiltonian_2group,
     order_histogram,
 )
-from .intmat import content
 from .rings import (
     TwElement,
     TwRing,
@@ -30,6 +28,7 @@ from .rings import (
     conj_character,
     cyclic_sum,
     is_unit,
+    small_support_elements,
     unit_order,
 )
 
@@ -108,18 +107,11 @@ def find_infinite_order_unit(
     ring: TwRing, bound: int = 1, support_cap: int = 3
 ) -> Optional[TwElement]:
     """First unit of infinite order with small integer coefficients, if any."""
-    n = ring.group.order
-    for size in range(1, support_cap + 1):
-        for support in itertools.combinations(range(n), size):
-            for coeffs in itertools.product(
-                [1, -1] if bound == 1 else range(-bound, bound + 1), repeat=size
-            ):
-                if any(c == 0 for c in coeffs):
-                    continue
-                x = ring.element(dict(zip(support, coeffs)))
-                unit, order = unit_order(x)
-                if unit and order is None:
-                    return x
+    values = [1, -1] if bound == 1 else [c for c in range(-bound, bound + 1) if c]
+    for x in small_support_elements(ring, values, support_cap):
+        unit, order = unit_order(x)
+        if unit and order is None:
+            return x
     return None
 
 
@@ -213,10 +205,7 @@ class RationalIdempotent:
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
         num = self.numerator
-        ints = []
-        for c in num.coeffs:
-            ints.extend(c.coeffs)
-        g = gcd(content(ints), self.denominator)
+        g = gcd(num.content(), self.denominator)
         if g != 1 and not num.is_zero():
             raise ValueError("idempotent fraction is not reduced")
         if num * num != num * self.denominator:
@@ -224,10 +213,7 @@ class RationalIdempotent:
 
     @staticmethod
     def reduced(numerator: TwElement, denominator: int) -> "RationalIdempotent":
-        ints = []
-        for c in numerator.coeffs:
-            ints.extend(c.coeffs)
-        g = gcd(content(ints), denominator)
+        g = gcd(numerator.content(), denominator)
         if g > 1:
             numerator = numerator.divide_exact(g)
             denominator //= g
@@ -346,18 +332,7 @@ def parity_obstruction(psi: PsiMap, candidate: TwElement) -> ObstructionCertific
         2 * v % psi.chi.modulus == 0 for v in psi.chi.values
     )
     checks["kernel_central"] = psi.ext.is_central
-    untwisted = TwRing(
-        psi.target.group,
-        Cocycle(
-            psi.target.group,
-            1,
-            tuple(
-                tuple(0 for _ in psi.target.group.elements())
-                for _ in psi.target.group.elements()
-            ),
-        ),
-        2,
-    )
+    untwisted = TwRing(psi.target.group, trivial_cocycle(psi.target.group), 2)
     verdict = decide_finiteness(untwisted, witness_search=False)
     checks["target_group_ring_units_finite"] = verdict.finite
     checks["candidate_is_unit"] = is_unit(candidate) is not None
