@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import cocycles, d8_case, extensions, groups, rings, tower, units
 from .d8_case import AuditItem, check
-from .errors import CAPS, CapExceededError, Caps
+from .errors import CAPS, CapExceededError, Caps, exact_int
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -82,23 +82,28 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "anticommuting":
-            return cocycles.anticommuting_pair_cocycle(spec.get("n", 0))
+            return cocycles.anticommuting_pair_cocycle(exact_int(spec.get("n", 0), "n"))
         if name == "quaternion":
             return cocycles.c2c2_quaternion_cocycle()
         if name == "c2c2_matrix":
             return cocycles.c2c2_matrix_cocycle()
         if name == "trivial":
             g = groups.group_from_json(spec["group"])
-            return cocycles.trivial_cocycle(g, spec.get("m", 1))
+            return cocycles.trivial_cocycle(g, exact_int(spec.get("m", 1), "m"))
         raise ValueError(f"unknown builtin cocycle {name!r}")
     g = groups.group_from_json(spec["group"])
-    table = tuple(tuple(int(v) for v in row) for row in spec["table"])
-    return cocycles.Cocycle(g, int(spec["m"]), table)
+    table = tuple(
+        tuple(exact_int(v, "cocycle entry") for v in row) for row in spec["table"]
+    )
+    return cocycles.Cocycle(g, exact_int(spec["m"], "m"), table)
 
 
 def _load_ring(spec: dict) -> rings.TwRing:
+    """The ring of a JSON spec; its twist must satisfy the cocycle identity."""
     c = _load_cocycle(spec["cocycle"] if "cocycle" in spec else spec)
-    conductor = int(spec.get("conductor", max(2, c.modulus)))
+    if not (report := cocycles.validate_cocycle(c)).is_cocycle:
+        raise ValueError(report.message)
+    conductor = exact_int(spec.get("conductor", max(2, c.modulus)), "conductor")
     if conductor > (cap := CAPS.get().conductor):
         raise CapExceededError(f"conductor {conductor} exceeds cap {cap}")
     return rings.TwRing(c.group, c, conductor)
@@ -414,27 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_command("group", "group table utilities")
+    p = add_command("group", "group table utilities", _cmd_group_validate)
     p.add_argument("action", choices=["validate"])
     p.add_argument("file")
 
-    p = add_command("cocycle", "cocycle utilities")
+    p = add_command("cocycle", "cocycle utilities", _cmd_cocycle)
     p.add_argument("action", choices=["validate", "order", "galpha", "cohomologous"])
     p.add_argument("file")
     p.add_argument("--other", help="second cocycle for the class comparison")
     p.add_argument("--modulus", type=int, default=2)
 
-    p = add_command("ring", "twisted ring arithmetic")
+    p = add_command("ring", "twisted ring arithmetic", _cmd_ring)
     p.add_argument("action", choices=["mul", "unit", "torsion", "scan"])
     p.add_argument("ring")
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--support", type=int, default=0)
 
-    p = add_command("ext", "extension and projection maps")
+    p = add_command("ext", "extension and projection maps", _cmd_ext)
     p.add_argument("action", choices=["build", "psi", "kernel", "components"])
     p.add_argument("group")
     p.add_argument("--normal", type=int, nargs="+", required=True)
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-modulus", type=int, default=2)
     p.add_argument("--conductor", type=int, default=1)
 
-    p = add_command("units", "unit-group structure")
+    p = add_command("units", "unit-group structure", _cmd_units)
     p.add_argument("action", choices=["finiteness", "bicyclic", "obstruct"])
     p.add_argument("ring", nargs="?")
     p.add_argument("--g", type=int)
@@ -454,19 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--element")
 
-    p = add_command("tower", "tower splittings over extra involutions")
+    p = add_command("tower", "tower splittings over extra involutions", _cmd_tower)
     p.add_argument("action", choices=["split", "usplit", "scan"])
     p.add_argument("--ring", help="base ring (default: the anticommuting model)")
     p.add_argument("--n", type=int, default=2, help="number of involutions")
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--samples", type=int, default=50)
 
-    p = add_command("case", "case-study audits")
+    p = add_command("case", "case-study audits", _cmd_case)
     p.add_argument("case", choices=["c2c2", "d8", "congruence"])
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=2)
     p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--check-all", action="store_true")
+    p.add_argument(
+        "--check-all", action="store_true", help="no effect: 'case c2c2' runs every check"
+    )
 
     return parser
 
@@ -494,6 +503,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    handler = vars(args).pop("handler")  # not an input, so not echoed
     echoed = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -507,20 +517,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     token = CAPS.set(_caps(args))
     start = time.monotonic()
     try:
-        if args.command == "group":
-            _cmd_group_validate(args, report)
-        elif args.command == "cocycle":
-            _cmd_cocycle(args, report)
-        elif args.command == "ring":
-            _cmd_ring(args, report)
-        elif args.command == "ext":
-            _cmd_ext(args, report)
-        elif args.command == "units":
-            _cmd_units(args, report)
-        elif args.command == "tower":
-            _cmd_tower(args, report)
-        elif args.command == "case":
-            _cmd_case(args, report)
+        handler(args, report)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -15,7 +15,15 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cyclotomic import CycInt, root_to_cyc
 from .errors import CAPS, CapExceededError
-from .groups import FiniteGroup, GroupHom, build_group, element_order, order_histogram
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    build_group,
+    element_order,
+    elementary_abelian_2,
+    order_histogram,
+    subgroup_as_group,
+)
 
 if TYPE_CHECKING:
     from .extensions import ExtensionData
@@ -182,8 +190,6 @@ def restrict(c: Cocycle, subgroup_ids) -> Cocycle:
     Subgroup elements are renumbered in ascending id order (identity
     first); the returned cocycle lives on that group.
     """
-    from .groups import subgroup_as_group
-
     sub, embed = subgroup_as_group(c.group, subgroup_ids)
     table = tuple(
         tuple(c.table[embed.map[a]][embed.map[b]] for b in sub.elements())
@@ -293,8 +299,6 @@ class GAlpha:
 
     group: FiniteGroup
     value_order: int
-    base: FiniteGroup
-    pairs: tuple[tuple[int, int], ...]
     projection: GroupHom
 
 
@@ -314,9 +318,8 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
     def encode(i: int, x: int) -> int:
         return (i % o) * n + x
 
+    # symbol zeta^i u_x has id i * n + x, so the identity symbol is id 0
     mul = []
-    labels = []
-    pairs = []
     for e1 in range(total):
         i1, x1 = divmod(e1, n)
         row = []
@@ -325,16 +328,12 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
             k = c.table[x1][x2] // step if step else 0
             row.append(encode(i1 + i2 + k, g.mul[x1][x2]))
         mul.append(row)
-    # renumber so that the identity symbol gets id 0 (it already does:
-    # i = 0 and x = 0 encode to 0)
-    for e in range(total):
-        i, x = divmod(e, n)
-        pairs.append((i, x))
-        zeta = f"z^{i}*" if i else ""
-        labels.append(f"{zeta}u[{g.labels[x]}]")
+    labels = [
+        (f"z^{e // n}*" if e >= n else "") + f"u[{g.labels[e % n]}]" for e in range(total)
+    ]
     ga = build_group(mul, labels, name=f"G_alpha({g.name})")
-    proj = GroupHom(source=ga, target=g, map=tuple(x for _, x in pairs))
-    return GAlpha(group=ga, value_order=o, base=g, pairs=tuple(pairs), projection=proj)
+    proj = GroupHom(source=ga, target=g, map=tuple(e % n for e in range(total)))
+    return GAlpha(group=ga, value_order=o, projection=proj)
 
 
 def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
@@ -351,8 +350,6 @@ def c2c2_matrix_cocycle() -> Cocycle:
     Relations: u_g^2 = u_h^2 = 1, u_g u_h = u_gh = -u_h u_g, u_gh^2 = -1.
     The basis group it generates is dihedral of order 8.
     """
-    from .groups import elementary_abelian_2
-
     g = elementary_abelian_2(2)
     signs = {}
     for a in range(4):
@@ -367,8 +364,6 @@ def c2c2_quaternion_cocycle() -> Cocycle:
     Realized by the quaternion units i, j, k; the basis group it generates
     is the quaternion group of order 8.
     """
-    from .groups import elementary_abelian_2
-
     g = elementary_abelian_2(2)
     minus = {(1, 1), (1, 3), (2, 2), (2, 1), (3, 2), (3, 3)}
     signs = {(a, b): -1 if (a, b) in minus else 1 for a in range(4) for b in range(4)}
@@ -382,11 +377,6 @@ def anticommuting_pair_cocycle(n: int) -> Cocycle:
     x_i untwisted: the inflation of the C2 x C2 matrix-model table along the
     projection that kills the x_i.
     """
-    from .groups import elementary_abelian_2
-
     base = c2c2_matrix_cocycle()
     g = elementary_abelian_2(n + 2)
-    table = tuple(
-        tuple(base.table[a & 3][b & 3] for b in g.elements()) for a in g.elements()
-    )
-    return Cocycle(g, 2, table)
+    return inflate(base, GroupHom(g, base.group, tuple(a & 3 for a in g.elements())))

@@ -1,4 +1,5 @@
-"""Size caps, and the error raised when a computation would exceed one."""
+"""Size caps, the error raised when a computation would exceed one, and the
+check that a number read from a table or from JSON is an integer."""
 
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -25,3 +26,10 @@ class Caps:
 
 
 CAPS: ContextVar[Caps] = ContextVar("caps", default=Caps())
+
+
+def exact_int(value, what: str) -> int:
+    """value when it is an int (a bool or a float is not); else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -38,7 +38,7 @@ from .groups import (
     subgroup_as_group,
     validate_section,
 )
-from .rings import TwElement, TwRing
+from .rings import TwElement, TwRing, unit_order
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,6 @@ class PsiMap:
 
     ext: ExtensionData
     chi: LinearCharacter
-    beta: Cocycle
     source: TwRing
     target: TwRing
     gamma_images: tuple[tuple[int, int], ...]
@@ -195,7 +194,6 @@ def build_psi(
     return PsiMap(
         ext=ext,
         chi=chi,
-        beta=beta,
         source=source,
         target=target,
         gamma_images=tuple(images),
@@ -280,24 +278,21 @@ def kernel_torsion_scan(
     with coefficients from coeff_values) whose sum is 1 on the identity fibre
     and 0 on every other fibre, joins patterns from distinct fibres into
     elements of support <= support_cap, and returns those that map to 1 and
-    are torsion units.  Fibre sums are plain integers when the target twist
-    takes values +-1 and exact elements of Z[zeta] otherwise.
+    are torsion units.
 
     The result lists exactly the elements a search over every support and
     coefficient tuple would keep, in its order: by support size, then by
     support, then by coefficients in itertools.product order.  With 0 in
     coeff_values, an element is listed once for each support that carries it.
     """
-    from .rings import unit_order
-
     src = psi.source
     m_t = psi.target.cocycle.modulus
     cond = psi.target.conductor
     fibres: list[list[int]] = [[] for _ in psi.target.group.elements()]
-    roots: list[int | CycInt] = []
+    roots: list[CycInt] = []
     for gamma, (gq, exp) in enumerate(psi.gamma_images):
         fibres[gq].append(gamma)
-        roots.append((-1) ** exp if m_t <= 2 else root_to_cyc(m_t, exp, cond))
+        roots.append(root_to_cyc(m_t, exp, cond))
     # patterns[q]: nonempty (fibre subset, coefficient indices) with fibre sum
     # 1 for the identity q = 0 and 0 otherwise
     patterns = []
@@ -344,7 +339,6 @@ def kernel_torsion_scan(
 class KernelFiniteness:
     finite: bool
     clauses: tuple[str, ...]
-    detail: str
 
 
 def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
@@ -381,8 +375,7 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
             e = lcm(exponent(g), exponent(n_grp))
             if 4 % e == 0 or 6 % e == 0:
                 clauses.append("abelian-small-exponent")
-    detail = ", ".join(clauses) if clauses else "no finiteness clause applies"
-    return KernelFiniteness(finite=bool(clauses), clauses=tuple(clauses), detail=detail)
+    return KernelFiniteness(finite=bool(clauses), clauses=tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -394,45 +387,33 @@ def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
     if not is_abelian(group):
         raise ValueError("linear characters require an abelian group")
     n = group.order
+    mul = group.mul
     chars: list[tuple[int, ...]] = [tuple([0] * n)]
-    covered = [0]  # ids of the generated subgroup, in insertion order
+    covered = [0]  # ids of the generated subgroup H
     in_sub = {0}
     for x in group.elements():
         if x in in_sub:
             continue
-        # relative order r: least r >= 1 with x^r inside the current subgroup
-        r = 1
-        p = x
-        while p not in in_sub:
-            p = group.mul[p][x]
-            r += 1
-        anchor = p  # x^r, already covered
+        # x^1 .. x^(r-1) for the least r with x^r in H; the cosets H x^j
+        # are then new and pairwise distinct
+        powers = [x]
+        while (x_r := mul[powers[-1]][x]) not in in_sub:
+            powers.append(x_r)
+        r = len(powers) + 1
         new_chars: list[tuple[int, ...]] = []
         for vals in chars:
-            target = vals[anchor]
             for t in range(modulus):
-                if (r * t - target) % modulus:
+                if (r * t - vals[x_r]) % modulus:
                     continue
                 new_vals = list(vals)
-                for j in range(1, r):
-                    xj = x
-                    for _ in range(j - 1):
-                        xj = group.mul[xj][x]
+                for j, xj in enumerate(powers, start=1):
                     for h in covered:
-                        new_vals[group.mul[h][xj]] = (vals[h] + j * t) % modulus
+                        new_vals[mul[h][xj]] = (vals[h] + j * t) % modulus
                 new_chars.append(tuple(new_vals))
         chars = new_chars
-        new_elems = []
-        for j in range(1, r):
-            xj = x
-            for _ in range(j - 1):
-                xj = group.mul[xj][x]
-            for h in list(covered):
-                y = group.mul[h][xj]
-                if y not in in_sub:
-                    in_sub.add(y)
-                    new_elems.append(y)
+        new_elems = [mul[h][xj] for xj in powers for h in covered]
         covered.extend(new_elems)
+        in_sub.update(new_elems)
     out = [LinearCharacter(group, modulus, vals) for vals in sorted(chars)]
     for chi in out:
         validate_character(chi)

@@ -76,17 +76,20 @@ _BASIS_IMAGES = (
     IntMat2(0, 1, -1, 0),    # u_gh
 )
 
+_MODEL = c2c2_matrix_cocycle()
+_MODEL_GROUP_MUL = _MODEL.group.mul
+# sign in u_a u_b = sign * u_(ab) for the matrix-model table
+_MODEL_SIGN = tuple(tuple((-1) ** v for v in row) for row in _MODEL.table)
+
 
 def model_ring(conductor: int = 2) -> TwRing:
-    c = c2c2_matrix_cocycle()
-    return TwRing(c.group, c, conductor)
+    return TwRing(_MODEL.group, _MODEL, conductor)
 
 
 def _require_model_ring(ring: TwRing) -> None:
-    model = c2c2_matrix_cocycle()
     if ring.group.order != 4 or ring.cocycle.rescaled(
         max(2, ring.cocycle.modulus)
-    ).table != model.rescaled(max(2, ring.cocycle.modulus)).table:
+    ).table != _MODEL.rescaled(max(2, ring.cocycle.modulus)).table:
         raise ValueError("ring is not the anticommuting C2 x C2 model ring")
 
 
@@ -236,10 +239,6 @@ _LETTER_ACTION = {
     2: {"V": ("W", 1), "W": ("V", 1)},
     3: {"V": ("W", -1), "W": ("V", -1)},
 }
-
-_MODEL_GROUP_MUL = c2c2_matrix_cocycle().group.mul
-# sign in u_a u_b = sign * u_(ab) for the matrix-model table
-_MODEL_SIGN = tuple(tuple((-1) ** v for v in row) for row in c2c2_matrix_cocycle().table)
 
 
 def _act_word(gamma: int, word: SanovWord) -> SanovWord:
@@ -448,8 +447,6 @@ def subgroup_from_generators(gens: Sequence[UnitNF]) -> SubgroupNF:
 @dataclass(frozen=True)
 class IndexAudit:
     index: Optional[int]
-    coset_representatives: tuple[UnitNF, ...]
-    generator_forms: tuple[UnitNF, ...]
 
 
 def unit_index_audit(
@@ -490,16 +487,8 @@ def unit_index_audit(
                 reps.append(candidate)
                 queue.append(candidate)
                 if len(reps) > coset_cap:
-                    return IndexAudit(
-                        index=None,
-                        coset_representatives=tuple(reps[:16]),
-                        generator_forms=tuple(nfs),
-                    )
-    return IndexAudit(
-        index=len(reps),
-        coset_representatives=tuple(reps),
-        generator_forms=tuple(nfs),
-    )
+                    return IndexAudit(index=None)
+    return IndexAudit(index=len(reps))
 
 
 def nielsen_schreier(rank: int, index: int) -> int:

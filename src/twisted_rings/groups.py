@@ -7,9 +7,10 @@ metadata only; every structural question is answered from the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import CAPS, CapExceededError
+from .errors import CAPS, CapExceededError, exact_int
 
 ALL_SUBGROUPS_CAP = 64
 
@@ -83,7 +84,7 @@ def build_group(
     for i, row in enumerate(mul):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        r = tuple(int(x) for x in row)
+        r = tuple(exact_int(x, "table entry") for x in row)
         for x in r:
             if not 0 <= x < n:
                 raise ValueError(f"table entry {x} out of range 0..{n - 1}")
@@ -272,11 +273,7 @@ def dihedral8_times_c2n(n: int) -> FiniteGroup:
     """D8 x C2^n with the extra involutions labelled y1..yn."""
     g = dihedral8()
     for i in range(1, n + 1):
-        c2 = cyclic(2)
-        c2 = build_group(
-            c2.mul, ["1", f"y{i}"], name=f"C2(y{i})", generators={f"y{i}": 1}
-        )
-        g = direct_product(g, c2, name=f"D8xC2^{i}")
+        g = direct_product(g, elementary_abelian_2(1, [f"y{i}"]), name=f"D8xC2^{i}")
     return g
 
 
@@ -302,8 +299,6 @@ def order_histogram(g: FiniteGroup) -> dict[int, int]:
 
 
 def exponent(g: FiniteGroup) -> int:
-    from math import lcm
-
     e = 1
     for x in g.elements():
         e = lcm(e, element_order(g, x))
@@ -527,7 +522,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(data: dict) -> FiniteGroup:
     if "preset" in data:
-        return build_preset(data["preset"], data.get("params", []))
+        params = [exact_int(p, "preset parameter") for p in data.get("params", [])]
+        return build_preset(data["preset"], params)
     if "mul" not in data:
         raise ValueError("group JSON needs 'mul' or 'preset'")
     return build_group(data["mul"], data.get("labels"), name=data.get("name", ""))

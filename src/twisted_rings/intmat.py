@@ -56,7 +56,7 @@ def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | No
     modified.
     """
     n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
     sign = 1
     prev = 1
     for k in range(n):

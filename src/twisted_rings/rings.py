@@ -11,12 +11,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .cocycles import Cocycle, LinearCharacter
-from .cyclotomic import PHI_DEGREE, CycInt, root_to_cyc
-from .errors import CapExceededError
+from .cocycles import (
+    Cocycle,
+    LinearCharacter,
+    anticommuting_pair_cocycle,
+    c2c2_quaternion_cocycle,
+)
+from .cyclotomic import PHI_DEGREE, CycInt, is_root_of_unity, root_to_cyc
+from .errors import CapExceededError, exact_int
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
 from .intmat import det_solve, matrix_order
 
@@ -53,7 +58,7 @@ class TwRing:
 
     def coerce_coeff(self, value) -> CycInt:
         if isinstance(value, CycInt):
-            return value.embed(lcm(value.m, self.conductor)) if value.m != self.conductor else value
+            return value.embed(self.conductor)
         if isinstance(value, int):
             return CycInt.integer(value, self.conductor)
         raise TypeError(f"cannot use {value!r} as a ring coefficient")
@@ -212,7 +217,14 @@ class TwElement:
 
 
 def element_from_json(ring: TwRing, data: dict) -> TwElement:
-    coeffs = {e["g"]: CycInt(e["m"], tuple(e["c"])) for e in data["coeffs"]}
+    """Read {"coeffs": [{"g": id, "m": m, "c": [ints]}, ...]}, range-checked."""
+    coeffs = {}
+    for e in data["coeffs"]:
+        g = exact_int(e["g"], "element id")
+        if not 0 <= g < ring.group.order:
+            raise ValueError(f"element id {g} out of range 0..{ring.group.order - 1}")
+        c = tuple(exact_int(v, "coefficient") for v in e["c"])
+        coeffs[g] = CycInt(exact_int(e["m"], "coefficient conductor"), c)
     return ring.element(coeffs)
 
 
@@ -256,36 +268,28 @@ class RegRepMatrix:
 
     matrix: tuple[tuple[int, ...], ...]
     dim: int
-    source: TwElement
 
 
 def regular_rep(x: TwElement) -> RegRepMatrix:
+    """Column h*phi + j holds the coordinates of x * zeta^j u_h."""
     ring = x.ring
     n = ring.group.order
     phi = PHI_DEGREE[ring.conductor]
     dim = n * phi
-    cols: list[list[int]] = [[0] * dim for _ in range(dim)]
+    rows: list[list[int]] = [[0] * dim for _ in range(dim)]
     items = x.items()
     mul = ring.group.mul
     for h in range(n):
         for j in range(phi):
             zj = root_to_cyc(ring.conductor, j, ring.conductor)
-            col = cols[h * phi + j]
             for g, a in items:
                 c = a * zj * root_to_cyc(
                     ring.cocycle.modulus, ring.cocycle.table[g][h], ring.conductor
                 )
                 gh = mul[g][h]
                 for t, v in enumerate(c.coeffs):
-                    col[gh * phi + t] += v
-    matrix = tuple(
-        tuple(cols[c][r] for c in range(dim)) for r in range(dim)
-    )
-    return RegRepMatrix(matrix=matrix, dim=dim, source=x)
-
-
-def _rep_rows(x: TwElement) -> list[list[int]]:
-    return [list(r) for r in regular_rep(x).matrix]
+                    rows[gh * phi + t][h * phi + j] += v
+    return RegRepMatrix(matrix=tuple(map(tuple, rows)), dim=dim)
 
 
 def _one_coords(dim: int) -> list[int]:
@@ -300,7 +304,7 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
     gives det A and det A * A^-1 e_1; x is a unit exactly when det A = +-1,
     and then that column, times det A, holds the coordinates of x^-1.
     """
-    mat = _rep_rows(x)
+    mat = regular_rep(x).matrix
     d, col = det_solve(mat, _one_coords(len(mat)))
     if d not in (1, -1):
         return None
@@ -321,7 +325,7 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
 def unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:
     """Whether x is a unit, and if so its multiplicative order (None when
     infinite or above cap), from one regular representation."""
-    mat = _rep_rows(x)
+    mat = regular_rep(x).matrix
     if det_solve(mat, _one_coords(len(mat)))[0] not in (1, -1):
         return False, None
     return True, matrix_order(mat, cap)
@@ -364,7 +368,6 @@ class ConjCharacter:
 
     ring: TwRing
     x: int
-    centralizer_ids: tuple[int, ...]
     exponents: dict[int, int]
     character: LinearCharacter
     c_plus: Optional[tuple[int, ...]]
@@ -392,7 +395,6 @@ def conj_character(ring: TwRing, x: int) -> ConjCharacter:
     return ConjCharacter(
         ring=ring,
         x=x,
-        centralizer_ids=cent,
         exponents=exps,
         character=char,
         c_plus=plus,
@@ -483,8 +485,6 @@ def berman_higman_violations(
     with nonzero coefficient at the identity must be a coefficient-ring
     unit (+- a root of unity times u_1).
     """
-    from .cyclotomic import is_root_of_unity
-
     bad = []
     for x in torsion_units_bounded(ring, coeff_values, support_cap):
         c1 = x.coeff(0)
@@ -502,15 +502,11 @@ def berman_higman_violations(
 
 def anticommuting_ring(n: int = 0, conductor: int = 2) -> TwRing:
     """Z^alpha[C2^(n+2)] with the canonical anticommuting-pair twist."""
-    from .cocycles import anticommuting_pair_cocycle
-
     c = anticommuting_pair_cocycle(n)
     return TwRing(c.group, c, conductor)
 
 
 def quaternion_twist_ring(conductor: int = 2) -> TwRing:
     """Z^gamma[C2 x C2] with u_g^2 = u_h^2 = [u_g, u_h] = -1."""
-    from .cocycles import c2c2_quaternion_cocycle
-
     c = c2c2_quaternion_cocycle()
     return TwRing(c.group, c, conductor)

@@ -11,17 +11,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cocycles import Cocycle
-from .groups import build_group, direct_product
-from .rings import TwElement, TwRing, is_unit
+from .cocycles import inflate
+from .groups import GroupHom, direct_product, element_order, elementary_abelian_2
+from .rings import TwElement, TwRing, basis_power_exponent, conj_character, is_unit
+from .units import minimal_twisted_bicyclic
 
 
 @dataclass(frozen=True)
 class TowerContext:
     """Rings Z^alpha[G x C2^i] for 0 <= i <= n with the inflated twist."""
 
-    base: TwRing
-    levels: int
     rings: tuple[TwRing, ...]
 
     def ring(self, i: int) -> TwRing:
@@ -30,20 +29,14 @@ class TowerContext:
 
 def build_tower(base: TwRing, levels: int) -> TowerContext:
     rings = [base]
-    g = base.group
-    cocycle = base.cocycle
     for i in range(1, levels + 1):
-        c2 = build_group(
-            [[0, 1], [1, 0]], ["1", f"x{i}"], name=f"C2(x{i})", generators={f"x{i}": 1}
-        )
-        g = direct_product(g, c2, name=f"{base.group.name}xC2^{i}")
-        table = tuple(
-            tuple(cocycle.table[a // 2][b // 2] for b in g.elements())
-            for a in g.elements()
-        )
-        cocycle = Cocycle(g, base.cocycle.modulus, table)
-        rings.append(TwRing(g, cocycle, base.conductor))
-    return TowerContext(base=base, levels=levels, rings=tuple(rings))
+        lo = rings[-1]
+        c2 = elementary_abelian_2(1, [f"x{i}"])
+        g = direct_product(lo.group, c2, name=f"{base.group.name}xC2^{i}")
+        # the x_i-free part of id a is a // 2
+        proj = GroupHom(g, lo.group, tuple(a // 2 for a in g.elements()))
+        rings.append(TwRing(g, inflate(lo.cocycle, proj), base.conductor))
+    return TowerContext(rings=tuple(rings))
 
 
 def embed_up(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
@@ -170,9 +163,6 @@ def random_unit(ctx: TowerContext, level: int, rng: random.Random, length: int =
 
 def _random_unipotent(ring: TwRing, rng: random.Random) -> TwElement:
     """1 + z u_h s_g for a random anticommuting pair, or 1 when none exists."""
-    from .rings import basis_power_exponent, conj_character
-    from .groups import element_order
-
     n = ring.group.order
     candidates = []
     for g in range(1, n):
@@ -187,7 +177,5 @@ def _random_unipotent(ring: TwRing, rng: random.Random) -> TwElement:
     if not candidates:
         return ring.one()
     g, h = candidates[rng.randrange(len(candidates))]
-    from .units import minimal_twisted_bicyclic
-
     u = minimal_twisted_bicyclic(ring, g, h)
     return u if rng.randrange(2) else is_unit(u)

@@ -13,6 +13,7 @@ from math import gcd
 from typing import Optional
 
 from .cocycles import build_G_alpha, cocycle_order, cocycle_power, trivial_cocycle
+from .cyclotomic import galois_apply
 from .extensions import PsiMap
 from .groups import (
     element_order,
@@ -269,8 +270,6 @@ class GaloisTwist:
     j: int
 
     def apply(self, x: TwElement) -> TwElement:
-        from .cyclotomic import galois_apply
-
         if x.ring != self.source:
             raise ValueError("element is not in the source ring")
         return TwElement(
@@ -303,7 +302,6 @@ class ObstructionCertificate:
     certified: bool
     checks: dict
     reason: str
-    candidate: TwElement
 
 
 def parity_obstruction(psi: PsiMap, candidate: TwElement) -> ObstructionCertificate:
@@ -366,6 +364,4 @@ def parity_obstruction(psi: PsiMap, candidate: TwElement) -> ObstructionCertific
     else:
         failed = [k for k, v in checks.items() if v is False]
         reason = f"inconclusive: failed checks {failed}"
-    return ObstructionCertificate(
-        certified=certified, checks=checks, reason=reason, candidate=candidate
-    )
+    return ObstructionCertificate(certified=certified, checks=checks, reason=reason)
