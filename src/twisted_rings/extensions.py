@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -152,6 +153,18 @@ class PsiMap:
     target: TwRing
     gamma_images: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def target_group_ring_units_finite(self) -> bool:
+        """Whether U(Z[G]) is finite for the target group G, decided once per map."""
+        g = self.target.group
+        return _units_finite(TwRing(g, trivial_cocycle(g), 2), witness_search=False)
+
+
+def _units_finite(ring: TwRing, witness_search: bool = True) -> bool:
+    from .units import decide_finiteness  # units imports this module
+
+    return decide_finiteness(ring, witness_search=witness_search).finite
+
 
 def build_psi(
     ext: ExtensionData,
@@ -208,18 +221,25 @@ def _fit_conductor(m: int) -> int:
 
 
 def apply_psi(psi: PsiMap, x: TwElement) -> TwElement:
-    """Linear extension of u_(n mu(g)) -> chi(n) v_g."""
+    """Linear extension of u_(n mu(g)) -> chi(n) v_g.
+
+    With c_s, c_t the source and target conductors and m_t the target
+    modulus, the coordinate zeta_(c_s)^i u_gamma goes to
+    zeta_(c_t)^(i c_t/c_s + e c_t/m_t) v_g for gamma_images[gamma] = (g, e).
+    """
     if x.ring != psi.source:
         raise ValueError("element does not belong to the source ring")
-    g = psi.target.group
-    m_t = psi.target.cocycle.modulus
-    cond = psi.target.conductor
-    out = [psi.target.zero_coeff()] * g.order
-    for gamma, coeff in x.items():
+    target = psi.target
+    phi, roots, _ = target.structure
+    c_t = target.conductor
+    step = c_t // psi.source.conductor
+    root_step = c_t // target.cocycle.modulus
+    out = [0] * target.dim
+    for gamma, i, a in x.coords():
         gq, exp = psi.gamma_images[gamma]
-        val = coeff.embed(cond) * root_to_cyc(m_t, exp, cond)
-        out[gq] = out[gq] + val
-    return TwElement(psi.target, tuple(out))
+        for t, v in roots[(i * step + exp * root_step) % c_t]:
+            out[gq * phi + t] += a * v
+    return target.from_coords(out)
 
 
 def psi_multiplicative_on_basis(psi: PsiMap) -> bool:
@@ -348,14 +368,11 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
     non-trivial and either N is of prime order with U(R[G]) finite, or G is
     abelian with lcm(exp G, exp N) dividing 4 or 6.
     """
-    from .units import decide_finiteness
-
     ext = psi.ext
     if not ext.is_central:
         raise ValueError("finiteness predicate requires a central kernel")
     clauses = []
-    src_verdict = decide_finiteness(psi.source)
-    if src_verdict.finite:
+    if _units_finite(psi.source):
         clauses.append("unit-group-finite")
     if not psi.chi.is_trivial():
         n_grp = ext.sub_group
@@ -368,7 +385,7 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
                 trivial_cocycle(ext.quotient_group, 1),
                 psi.source.conductor,
             )
-            if decide_finiteness(untwisted).finite:
+            if _units_finite(untwisted):
                 clauses.append("prime-kernel")
         g = ext.quotient_group
         if is_abelian(g):

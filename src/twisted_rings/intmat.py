@@ -74,10 +74,15 @@ def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | No
         for i in range(k + 1, n):
             row_i = m[i]
             mik = row_i[k]
-            row_i[k + 1 :] = [
-                (pivot * a - mik * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
-            ]
-            row_i[k] = 0
+            if mik:
+                row_i[k + 1 :] = [
+                    (pivot * a - mik * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
+                ]
+                row_i[k] = 0
+            elif pivot != prev:
+                # a zero multiplier only rescales the row; pivot / prev need
+                # not be integral, but pivot * a / prev is (Bareiss)
+                row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
         prev = pivot
     # row i now reads sum_j m[i][j] x_j = m[i][n] for the solution x of the
     # permuted system, whose determinant is prev

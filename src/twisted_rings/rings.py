@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -20,7 +20,7 @@ from .cocycles import (
     anticommuting_pair_cocycle,
     c2c2_quaternion_cocycle,
 )
-from .cyclotomic import PHI_DEGREE, CycInt, is_root_of_unity, root_to_cyc
+from .cyclotomic import PHI_DEGREE, SUPPORTED_CONDUCTORS, CycInt, is_root_of_unity, root_to_cyc
 from .errors import CapExceededError, exact_int
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
 from .intmat import det_solve, matrix_order
@@ -53,6 +53,23 @@ class TwRing:
     def dim(self) -> int:
         return self.group.order * PHI_DEGREE[self.conductor]
 
+    @cached_property
+    def structure(self) -> tuple[int, tuple, tuple[tuple[int, ...], ...]]:
+        """(phi, roots, twist), the integer structure table of the ring.
+
+        phi is the degree of Z[zeta_c] over Z, roots[k] the nonzero entries
+        (t, v) of the power-basis vector of zeta_c^k for 0 <= k < c, and
+        twist[g][h] the exponent e with alpha(g, h) = zeta_c^e.
+        """
+        c = self.conductor
+        roots = tuple(
+            tuple((t, v) for t, v in enumerate(root_to_cyc(c, k, c).coeffs) if v)
+            for k in range(c)
+        )
+        step = c // self.cocycle.modulus
+        twist = tuple(tuple(a * step % c for a in row) for row in self.cocycle.table)
+        return PHI_DEGREE[c], roots, twist
+
     def zero_coeff(self) -> CycInt:
         return _zero(self.conductor)
 
@@ -84,6 +101,12 @@ class TwRing:
     def from_int_vector(self, vec: Sequence[int]) -> "TwElement":
         return TwElement(self, tuple(CycInt.integer(v, self.conductor) for v in vec))
 
+    def from_coords(self, vec: Sequence[int]) -> "TwElement":
+        """The element with flat coordinates vec in the zeta^j u_g basis."""
+        phi, z = PHI_DEGREE[self.conductor], self.zero_coeff()
+        blocks = (tuple(vec[k : k + phi]) for k in range(0, len(vec), phi))
+        return TwElement(self, tuple(CycInt(self.conductor, b) if any(b) else z for b in blocks))
+
     def __repr__(self) -> str:
         return (
             f"TwRing({self.group.name or self.group.order}, "
@@ -101,12 +124,22 @@ class TwElement:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.ring.group.order:
             raise ValueError("coefficient vector length does not match group order")
+        c = self.ring.conductor
+        if any(a.m != c for a in self.coeffs):
+            # the integer kernels read coordinates in the ring's power basis
+            object.__setattr__(self, "coeffs", tuple(a.embed(c) for a in self.coeffs))
 
     def coeff(self, g: int) -> CycInt:
         return self.coeffs[g]
 
     def items(self) -> list[tuple[int, CycInt]]:
         return [(g, c) for g, c in enumerate(self.coeffs) if not c.is_zero()]
+
+    def coords(self) -> list[tuple[int, int, int]]:
+        """Nonzero coordinates (g, j, a) of self = sum a zeta^j u_g."""
+        return [
+            (g, j, a) for g, c in enumerate(self.coeffs) for j, a in enumerate(c.coeffs) if a
+        ]
 
     def support(self) -> tuple[int, ...]:
         return tuple(g for g, c in enumerate(self.coeffs) if not c.is_zero())
@@ -139,7 +172,7 @@ class TwElement:
         if isinstance(other, TwElement):
             if other.ring != self.ring:
                 raise ValueError("ring mismatch in multiplication")
-            return _tw_mul(self, other)
+            return self.ring.from_coords(_tw_mul(self.ring, self.coords(), other.coords()))
         return NotImplemented
 
     def __rmul__(self, other) -> "TwElement":
@@ -224,7 +257,10 @@ def element_from_json(ring: TwRing, data: dict) -> TwElement:
         if not 0 <= g < ring.group.order:
             raise ValueError(f"element id {g} out of range 0..{ring.group.order - 1}")
         c = tuple(exact_int(v, "coefficient") for v in e["c"])
-        coeffs[g] = CycInt(exact_int(e["m"], "coefficient conductor"), c)
+        m = exact_int(e["m"], "coefficient conductor")
+        if m not in SUPPORTED_CONDUCTORS:
+            raise ValueError(f"coefficient conductor {m} not in {SUPPORTED_CONDUCTORS}")
+        coeffs[g] = CycInt(m, c)
     return ring.element(coeffs)
 
 
@@ -238,24 +274,21 @@ def _coerce_element(ring: TwRing, value) -> TwElement:
     raise TypeError(f"cannot interpret {value!r} as a ring element")
 
 
-def _tw_mul(x: TwElement, y: TwElement) -> TwElement:
-    ring = x.ring
+def _tw_mul(ring: TwRing, xs, ys) -> list[int]:
+    """Flat coordinates of (sum over xs) * (sum over ys), for coordinate
+    lists (g, j, a) as returned by TwElement.coords."""
+    phi, roots, twist = ring.structure
+    c = ring.conductor
     mul = ring.group.mul
-    acc: dict[int, CycInt] = {}
-    for g, a in x.items():
-        row = mul[g]
-        trow = ring.cocycle.table[g]
-        for h, b in y.items():
-            gh = row[h]
-            v = a * b * root_to_cyc(ring.cocycle.modulus, trow[h], ring.conductor)
-            if gh in acc:
-                acc[gh] = acc[gh] + v
-            else:
-                acc[gh] = v
-    z = ring.zero_coeff()
-    return TwElement(
-        ring, tuple(acc.get(g, z) for g in ring.group.elements())
-    )
+    out = [0] * ring.dim
+    for g, i, a in xs:
+        row, trow = mul[g], twist[g]
+        for h, j, b in ys:
+            base = row[h] * phi
+            ab = a * b
+            for t, v in roots[(i + j + trow[h]) % c]:
+                out[base + t] += ab * v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +306,12 @@ class RegRepMatrix:
 def regular_rep(x: TwElement) -> RegRepMatrix:
     """Column h*phi + j holds the coordinates of x * zeta^j u_h."""
     ring = x.ring
-    n = ring.group.order
     phi = PHI_DEGREE[ring.conductor]
-    dim = n * phi
-    rows: list[list[int]] = [[0] * dim for _ in range(dim)]
-    items = x.items()
-    mul = ring.group.mul
-    for h in range(n):
-        for j in range(phi):
-            zj = root_to_cyc(ring.conductor, j, ring.conductor)
-            for g, a in items:
-                c = a * zj * root_to_cyc(
-                    ring.cocycle.modulus, ring.cocycle.table[g][h], ring.conductor
-                )
-                gh = mul[g][h]
-                for t, v in enumerate(c.coeffs):
-                    rows[gh * phi + t][h * phi + j] += v
-    return RegRepMatrix(matrix=tuple(map(tuple, rows)), dim=dim)
+    xs = x.coords()
+    cols = [
+        _tw_mul(ring, xs, ((h, j, 1),)) for h in ring.group.elements() for j in range(phi)
+    ]
+    return RegRepMatrix(matrix=tuple(zip(*cols)), dim=ring.dim)
 
 
 def _one_coords(dim: int) -> list[int]:
@@ -309,14 +331,7 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
     if d not in (1, -1):
         return None
     ring = x.ring
-    phi = PHI_DEGREE[ring.conductor]
-    inv = TwElement(
-        ring,
-        tuple(
-            CycInt(ring.conductor, tuple(d * v for v in col[g * phi : (g + 1) * phi]))
-            for g in ring.group.elements()
-        ),
-    )
+    inv = ring.from_coords([d * v for v in col])
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .cocycles import build_G_alpha, cocycle_order, cocycle_power, trivial_cocycle
+from .cocycles import build_G_alpha, cocycle_order, cocycle_power
 from .cyclotomic import galois_apply
 from .extensions import PsiMap
 from .groups import (
@@ -330,9 +330,7 @@ def parity_obstruction(psi: PsiMap, candidate: TwElement) -> ObstructionCertific
         2 * v % psi.chi.modulus == 0 for v in psi.chi.values
     )
     checks["kernel_central"] = psi.ext.is_central
-    untwisted = TwRing(psi.target.group, trivial_cocycle(psi.target.group), 2)
-    verdict = decide_finiteness(untwisted, witness_search=False)
-    checks["target_group_ring_units_finite"] = verdict.finite
+    checks["target_group_ring_units_finite"] = psi.target_group_ring_units_finite
     checks["candidate_is_unit"] = is_unit(candidate) is not None
     w = candidate - ring.one()
     try:
