@@ -99,9 +99,10 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
 
 
 def _load_ring(spec: dict) -> rings.TwRing:
-    """The ring of a JSON spec; its twist must satisfy the cocycle identity."""
+    """The ring of a JSON spec; its twist must be a normalized cocycle, so
+    that u_1 is the identity."""
     c = _load_cocycle(spec["cocycle"] if "cocycle" in spec else spec)
-    if not (report := cocycles.validate_cocycle(c)).is_cocycle:
+    if not (report := cocycles.validate_cocycle(c)).ok:
         raise ValueError(report.message)
     conductor = exact_int(spec.get("conductor", max(2, c.modulus)), "conductor")
     if conductor > (cap := CAPS.get().conductor):

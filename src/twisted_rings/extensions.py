@@ -25,7 +25,7 @@ from .cocycles import (
     trivial_cocycle,
     validate_character,
 )
-from .cyclotomic import CycInt, SUPPORTED_CONDUCTORS, euler_phi, root_to_cyc
+from .cyclotomic import SUPPORTED_CONDUCTORS, euler_phi
 from .errors import CapExceededError
 from .groups import (
     FiniteGroup,
@@ -39,7 +39,7 @@ from .groups import (
     subgroup_as_group,
     validate_section,
 )
-from .rings import TwElement, TwRing, unit_order
+from .rings import TwElement, TwRing, unit_order_coords
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,28 @@ class PsiMap:
     target: TwRing
     gamma_images: tuple[tuple[int, int], ...]
 
+    def image_coords(self, xs) -> list[int]:
+        """Flat target coordinates of the image of the source element with
+        coordinate list xs (as TwElement.coords).
+
+        With c_s, c_t the source and target conductors and m_t the target
+        modulus, the coordinate zeta_(c_s)^i u_gamma goes to
+        zeta_(c_t)^(i c_t/c_s + e c_t/m_t) v_g for gamma_images[gamma] = (g, e).
+        """
+        target = self.target
+        phi, roots, _ = target.structure
+        c_t = target.conductor
+        step = c_t // self.source.conductor
+        root_step = c_t // target.cocycle.modulus
+        images = self.gamma_images
+        out = [0] * target.dim
+        for gamma, i, a in xs:
+            gq, exp = images[gamma]
+            base = gq * phi
+            for t, v in roots[(i * step + exp * root_step) % c_t]:
+                out[base + t] += a * v
+        return out
+
     @cached_property
     def target_group_ring_units_finite(self) -> bool:
         """Whether U(Z[G]) is finite for the target group G, decided once per map."""
@@ -221,25 +243,10 @@ def _fit_conductor(m: int) -> int:
 
 
 def apply_psi(psi: PsiMap, x: TwElement) -> TwElement:
-    """Linear extension of u_(n mu(g)) -> chi(n) v_g.
-
-    With c_s, c_t the source and target conductors and m_t the target
-    modulus, the coordinate zeta_(c_s)^i u_gamma goes to
-    zeta_(c_t)^(i c_t/c_s + e c_t/m_t) v_g for gamma_images[gamma] = (g, e).
-    """
+    """Linear extension of u_(n mu(g)) -> chi(n) v_g."""
     if x.ring != psi.source:
         raise ValueError("element does not belong to the source ring")
-    target = psi.target
-    phi, roots, _ = target.structure
-    c_t = target.conductor
-    step = c_t // psi.source.conductor
-    root_step = c_t // target.cocycle.modulus
-    out = [0] * target.dim
-    for gamma, i, a in x.coords():
-        gq, exp = psi.gamma_images[gamma]
-        for t, v in roots[(i * step + exp * root_step) % c_t]:
-            out[gq * phi + t] += a * v
-    return target.from_coords(out)
+    return psi.target.from_coords(psi.image_coords(x.coords()))
 
 
 def psi_multiplicative_on_basis(psi: PsiMap) -> bool:
@@ -306,24 +313,21 @@ def kernel_torsion_scan(
     coeff_values, an element is listed once for each support that carries it.
     """
     src = psi.source
-    m_t = psi.target.cocycle.modulus
-    cond = psi.target.conductor
     fibres: list[list[int]] = [[] for _ in psi.target.group.elements()]
-    roots: list[CycInt] = []
-    for gamma, (gq, exp) in enumerate(psi.gamma_images):
+    for gamma, (gq, _) in enumerate(psi.gamma_images):
         fibres[gq].append(gamma)
-        roots.append(root_to_cyc(m_t, exp, cond))
-    # patterns[q]: nonempty (fibre subset, coefficient indices) with fibre sum
-    # 1 for the identity q = 0 and 0 otherwise
+    zero = [0] * psi.target.dim
+    # patterns[q]: nonempty (fibre subset, coefficient indices) whose image
+    # is 1 for the identity q = 0 and 0 otherwise
     patterns = []
     for gq, fibre in enumerate(fibres):
-        want = 1 if gq == 0 else 0
+        want = [1] + zero[1:] if gq == 0 else zero
         patterns.append([
             (sub, idx)
             for size in range(1, min(len(fibre), support_cap) + 1)
             for sub in itertools.combinations(fibre, size)
             for idx in itertools.product(range(len(coeff_values)), repeat=size)
-            if sum(coeff_values[i] * roots[g] for g, i in zip(sub, idx)) == want
+            if psi.image_coords([(g, 0, coeff_values[i]) for g, i in zip(sub, idx)]) == want
         ])
 
     def joins(start: int, budget: int):
@@ -343,15 +347,13 @@ def kernel_torsion_scan(
             keys.append((len(support), support, idx))
     keys.sort()
 
+    # each key joins one pattern per fibre it meets, so its image is 1
     found = []
-    one = psi.target.one()
     for _, support, idx in keys:
-        elem = src.element({g: coeff_values[i] for g, i in zip(support, idx)})
-        if apply_psi(psi, elem) != one:
-            continue
-        unit, order = unit_order(elem)
+        coeffs = [coeff_values[i] for i in idx]
+        unit, order = unit_order_coords(src, [(g, 0, v) for g, v in zip(support, coeffs)])
         if unit and order is not None:
-            found.append(elem)
+            found.append(src.element(dict(zip(support, coeffs))))
     return found
 
 

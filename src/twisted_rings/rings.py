@@ -3,7 +3,11 @@
 Elements are dense coefficient vectors indexed by group element id.  Unit
 testing goes through the integer regular representation: x is a unit of
 the order exactly when left multiplication by x is invertible over Z,
-i.e. has determinant +-1.
+i.e. has determinant +-1.  Over a subgroup N of central involutions along
+which the twist is inflated, Q R^alpha[G] splits into the components
+Q^(alpha_chi)[G/N], one per character chi of N, and that determinant is
+the product of the component determinants; units and their orders are
+decided component by component.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .cocycles import (
@@ -69,6 +74,42 @@ class TwRing:
         step = c // self.cocycle.modulus
         twist = tuple(tuple(a * step % c for a in row) for row in self.cocycle.table)
         return PHI_DEGREE[c], roots, twist
+
+    @cached_property
+    def components(self) -> tuple:
+        """The projections psi_chi of the ring onto its components.
+
+        N is the largest subgroup of central involutions z along which the
+        twist is inflated: alpha(az, b) = alpha(a, b) = alpha(a, bz).  The
+        u_z are then central and every character chi of N is real, so
+        Q R^alpha[G] is the direct sum of the targets Q^(alpha_chi)[G/N] of
+        the psi_chi.  Empty when N = 1.
+        """
+        # a late import: extensions imports this module
+        from .extensions import build_extension, build_psi, lin_characters
+
+        g, table = self.group, self.cocycle.table
+        kernel = [0]
+        for z in g.elements()[1:]:
+            col = tuple(row[z] for row in g.mul)
+            if g.mul[z][z] or col != g.mul[z]:
+                continue
+            shift = itemgetter(*col)
+            if all(table[col[a]] == row and shift(row) == row for a, row in enumerate(table)):
+                kernel.append(z)
+        if len(kernel) == 1:
+            return ()
+        ext = build_extension(g, kernel)
+        sec = ext.section.map
+        beta = Cocycle(
+            ext.quotient_group,
+            self.cocycle.modulus,
+            tuple(tuple(table[a][b] for b in sec) for a in sec),
+        )
+        return tuple(
+            build_psi(ext, chi, beta, self.conductor)
+            for chi in lin_characters(ext.sub_group, 2)
+        )
 
     def zero_coeff(self) -> CycInt:
         return _zero(self.conductor)
@@ -167,8 +208,7 @@ class TwElement:
 
     def __mul__(self, other) -> "TwElement":
         if isinstance(other, (int, CycInt)):
-            c = self.ring.coerce_coeff(other)
-            return TwElement(self.ring, tuple(a * c for a in self.coeffs))
+            other = self.ring.basis(0, other)
         if isinstance(other, TwElement):
             if other.ring != self.ring:
                 raise ValueError("ring mismatch in multiplication")
@@ -305,13 +345,15 @@ class RegRepMatrix:
 
 def regular_rep(x: TwElement) -> RegRepMatrix:
     """Column h*phi + j holds the coordinates of x * zeta^j u_h."""
-    ring = x.ring
+    return RegRepMatrix(matrix=_rep_matrix(x.ring, x.coords()), dim=x.ring.dim)
+
+
+def _rep_matrix(ring: TwRing, xs) -> tuple[tuple[int, ...], ...]:
     phi = PHI_DEGREE[ring.conductor]
-    xs = x.coords()
     cols = [
         _tw_mul(ring, xs, ((h, j, 1),)) for h in ring.group.elements() for j in range(phi)
     ]
-    return RegRepMatrix(matrix=tuple(zip(*cols)), dim=ring.dim)
+    return tuple(zip(*cols))
 
 
 def _one_coords(dim: int) -> list[int]:
@@ -319,31 +361,100 @@ def _one_coords(dim: int) -> list[int]:
     return [1] + [0] * (dim - 1)
 
 
+def _leaves(ring: TwRing, xs) -> Iterator[tuple[TwRing, list]]:
+    """The coordinate lists of the images of xs in the indecomposable
+    components of the ring."""
+    if not ring.components:
+        yield ring, xs
+    for psi in ring.components:
+        phi = PHI_DEGREE[psi.target.conductor]
+        flat = psi.image_coords(xs)
+        yield from _leaves(psi.target, [(k // phi, k % phi, a) for k, a in enumerate(flat) if a])
+
+
+def _lift_sum(ring: TwRing, parts) -> list[int]:
+    """Flat coordinates of |N| x for the components x_chi of x in parts.
+
+    The idempotent of chi is e_chi = |N|^-1 sum chi(z) u_z over z in N, and
+    x = sum e_chi s(x_chi) for the section lift s(zeta^t v_g) = zeta^t u_mu(g).
+    """
+    phi, c, mul = PHI_DEGREE[ring.conductor], ring.conductor, ring.group.mul
+    out = [0] * ring.dim
+    for psi, part in zip(ring.components, parts):
+        ext, c_t = psi.ext, psi.target.conductor
+        powers = [root_to_cyc(c_t, t, c).coeffs for t in range(PHI_DEGREE[c_t])]
+        signs = [(z, -1 if v else 1) for z, v in zip(ext.sub_embed, psi.chi.values)]
+        for g, t, a in part.coords():
+            lifted = ext.section.map[g]
+            for z, sign in signs:
+                base = mul[z][lifted] * phi
+                for k, v in enumerate(powers[t]):
+                    out[base + k] += sign * a * v
+    return out
+
+
 def is_unit(x: TwElement) -> Optional[TwElement]:
     """Return the inverse when x is a unit of the Z-order, else None.
 
-    One fraction-free elimination of [A | e_1], A the regular representation,
-    gives det A and det A * A^-1 e_1; x is a unit exactly when det A = +-1,
-    and then that column, times det A, holds the coordinates of x^-1.
+    On a ring with components, x is a unit exactly when every component
+    image is, and x^-1 is rebuilt from their inverses by one exact division
+    by |N|.  Otherwise one fraction-free elimination of [A | e_1], A the
+    regular representation, gives det A and det A * A^-1 e_1; x is a unit
+    exactly when det A = +-1, and then that column, times det A, holds the
+    coordinates of x^-1.  Either way x x^-1 = x^-1 x = 1 is checked.
     """
-    mat = regular_rep(x).matrix
-    d, col = det_solve(mat, _one_coords(len(mat)))
-    if d not in (1, -1):
-        return None
     ring = x.ring
-    inv = ring.from_coords([d * v for v in col])
+    xs = x.coords()
+    if ring.components:
+        parts = []
+        for psi in ring.components:
+            part = is_unit(psi.target.from_coords(psi.image_coords(xs)))
+            if part is None:
+                return None
+            parts.append(part)
+        n = len(ring.components)
+        total = _lift_sum(ring, parts)
+        if any(v % n for v in total):
+            raise ArithmeticError("component inverses do not lift to the ring")
+        inv = ring.from_coords([v // n for v in total])
+    else:
+        mat = _rep_matrix(ring, xs)
+        d, col = det_solve(mat, _one_coords(len(mat)))
+        if d not in (1, -1):
+            return None
+        inv = ring.from_coords([d * v for v in col])
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv
 
 
+def unit_order_coords(
+    ring: TwRing, xs, cap: Optional[int] = None
+) -> tuple[bool, Optional[int]]:
+    """unit_order of the element with coordinate list xs (as TwElement.coords).
+
+    Every component determinant is checked before any order is computed;
+    the order is the lcm of the component orders.
+    """
+    mats = []
+    for leaf, ys in _leaves(ring, xs):
+        mat = _rep_matrix(leaf, ys)
+        if det_solve(mat, _one_coords(len(mat)))[0] not in (1, -1):
+            return False, None
+        mats.append(mat)
+    orders = []
+    for mat in mats:
+        if (order := matrix_order(mat, cap)) is None:
+            return True, None
+        orders.append(order)
+    order = lcm(*orders)
+    return True, order if cap is None or order <= cap else None
+
+
 def unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:
     """Whether x is a unit, and if so its multiplicative order (None when
-    infinite or above cap), from one regular representation."""
-    mat = regular_rep(x).matrix
-    if det_solve(mat, _one_coords(len(mat)))[0] not in (1, -1):
-        return False, None
-    return True, matrix_order(mat, cap)
+    infinite or above cap)."""
+    return unit_order_coords(x.ring, x.coords(), cap)
 
 
 def torsion_order(x: TwElement, cap: Optional[int] = None) -> Optional[int]:
@@ -458,15 +569,24 @@ def enumerate_units_bounded(
     return units
 
 
+def _small_supports(
+    ring: TwRing, values: Sequence[int], support_cap: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(support, coefficients) with 1 to support_cap entries from values, by
+    support size, then support, then coefficients in itertools.product order."""
+    for size in range(1, support_cap + 1):
+        for support in itertools.combinations(ring.group.elements(), size):
+            for coeffs in itertools.product(values, repeat=size):
+                yield support, coeffs
+
+
 def small_support_elements(
     ring: TwRing, values: Sequence[int], support_cap: int
 ) -> Iterator[TwElement]:
     """Elements with 1 to support_cap nonzero coefficients from values, by
     support size, then support, then coefficients in itertools.product order."""
-    for size in range(1, support_cap + 1):
-        for support in itertools.combinations(ring.group.elements(), size):
-            for coeffs in itertools.product(values, repeat=size):
-                yield ring.element(dict(zip(support, coeffs)))
+    for support, coeffs in _small_supports(ring, values, support_cap):
+        yield ring.element(dict(zip(support, coeffs)))
 
 
 def torsion_units_bounded(
@@ -482,10 +602,10 @@ def torsion_units_bounded(
     nonzero = [v for v in coeff_values if v != 0]
     out = []
     max_support = support_cap if support_cap is not None else ring.group.order
-    for x in small_support_elements(ring, nonzero, max_support):
-        unit, order = unit_order(x)
+    for support, coeffs in _small_supports(ring, nonzero, max_support):
+        unit, order = unit_order_coords(ring, [(g, 0, v) for g, v in zip(support, coeffs)])
         if unit and order is not None:
-            out.append(x)
+            out.append(ring.element(dict(zip(support, coeffs))))
     return out
 
 

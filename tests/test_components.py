@@ -1,0 +1,198 @@
+"""Units and orders through the components, checked against the full matrix.
+
+A ring whose twist is inflated along a subgroup N of central involutions
+splits over Q into one component per character of N, and ``is_unit``,
+``unit_order`` and ``torsion_order`` decide there.  The routes they replaced
+work on the whole regular representation; they are kept here unchanged as
+the oracle at dims <= 32.
+"""
+
+from functools import lru_cache
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twisted_rings.cocycles import trivial_cocycle
+from twisted_rings.cyclotomic import PHI_DEGREE
+from twisted_rings.d8_case import build_d8_psi
+from twisted_rings.groups import (
+    all_subgroups,
+    cyclic,
+    direct_product,
+    elementary_abelian_2,
+    quaternion8,
+)
+from twisted_rings.intmat import det_solve, matrix_order
+from twisted_rings.rings import (
+    TwElement,
+    TwRing,
+    anticommuting_ring,
+    is_unit,
+    quaternion_twist_ring,
+    regular_rep,
+    unit_order,
+)
+from twisted_rings.tower import build_tower
+
+
+def full_is_unit(x: TwElement) -> Optional[TwElement]:
+    """Oracle: the inverse from one elimination of the whole regular representation."""
+    mat = regular_rep(x).matrix
+    d, col = det_solve(mat, [1] + [0] * (len(mat) - 1))
+    if d not in (1, -1):
+        return None
+    return x.ring.from_coords([d * v for v in col])
+
+
+def full_unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:
+    """Oracle: the unit verdict and order from the whole regular representation."""
+    mat = regular_rep(x).matrix
+    if det_solve(mat, [1] + [0] * (len(mat) - 1))[0] not in (1, -1):
+        return False, None
+    return True, matrix_order(mat, cap)
+
+
+def _group_ring(group, conductor: int) -> TwRing:
+    return TwRing(group, trivial_cocycle(group, 1), conductor)
+
+
+C2 = elementary_abelian_2(1)
+C2C2 = elementary_abelian_2(2)
+C4 = cyclic(4)
+C2C4 = direct_product(cyclic(2), cyclic(4))
+
+# name -> (ring factory, order of N)
+RINGS = {
+    **{f"anticommuting n={n}": (lambda n=n: anticommuting_ring(n), 1 << n) for n in range(4)},
+    **{
+        f"tower level {k}": (lambda k=k: build_tower(anticommuting_ring(0), 2).ring(k), 1 << k)
+        for k in (1, 2)
+    },
+    # the source is Z[D8 x C2^n], N = Z(D8) x C2^n; the target is the model ring
+    **{f"d8 source n={n}": (lambda n=n: build_d8_psi(n).source, 2 << n) for n in (0, 1, 2)},
+    **{f"d8 target n={n}": (lambda n=n: build_d8_psi(n).target, 1 << n) for n in (0, 1, 2)},
+    # N is not a direct factor: the components carry nontrivial transgressed twists
+    "Z[C4]": (lambda: _group_ring(C4, 1), 2),
+    "Z[C2 x C4]": (lambda: _group_ring(C2C4, 2), 4),
+    "Z[Q8]": (lambda: _group_ring(quaternion8(), 2), 2),
+    # coefficient rings Z[zeta_c] for c = 1, 2, 3, 4, 8; at c = 3 the components
+    # have conductor 6, a different power basis of the same ring
+    "Z[C2 x C2] c=1": (lambda: _group_ring(C2C2, 1), 4),
+    "Z[zeta_3][C2]": (lambda: _group_ring(C2, 3), 2),
+    "Z[zeta_4][C4]": (lambda: _group_ring(C4, 4), 2),
+    "Z[zeta_8][C2 x C2]": (lambda: _group_ring(C2C2, 8), 4),
+    "anticommuting n=1 c=4": (lambda: anticommuting_ring(1, conductor=4), 2),
+    "anticommuting n=1 c=8": (lambda: anticommuting_ring(1, conductor=8), 2),
+    # no central involution along which the twist is inflated: the base case
+    "quaternion": (lambda: quaternion_twist_ring(2), 1),
+    "quaternion c=4": (lambda: quaternion_twist_ring(4), 1),
+}
+
+
+@lru_cache(maxsize=None)
+def ring_named(name: str) -> TwRing:
+    return RINGS[name][0]()
+
+
+def brute_force_kernel(ring: TwRing) -> frozenset[int]:
+    """The largest subgroup of central involutions along which the twist is inflated."""
+    g, t = ring.group, ring.cocycle.table
+    els = list(g.elements())
+
+    def fits(h) -> bool:
+        return all(
+            g.mul[z][z] == 0
+            and all(g.mul[z][a] == g.mul[a][z] for a in els)
+            and all(t[g.mul[a][z]][b] == t[a][b] == t[a][g.mul[b][z]] for a in els for b in els)
+            for z in h
+        )
+
+    fitting = [h for h in all_subgroups(g) if fits(h)]
+    largest = max(fitting, key=len)
+    assert all(h <= largest for h in fitting)
+    return largest
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_components_split_the_ring_over_the_largest_kernel(name):
+    ring = ring_named(name)
+    comps = ring.components
+    kernel = brute_force_kernel(ring)
+    assert len(kernel) == RINGS[name][1]
+    if len(kernel) == 1:
+        assert comps == ()
+        return
+    assert len(comps) == len(kernel)
+    assert all(psi.ext.sub_ids == kernel and psi.source == ring for psi in comps)
+    assert sum(psi.target.dim for psi in comps) == ring.dim
+
+
+def test_the_d8_source_splits_to_rank_one_and_quaternion_components():
+    # Z[D8 x C2^n] over Z(D8) x C2^n: the characters trivial on a^2 give
+    # Z[C2 x C2], which splits again into four copies of Z
+    ring = build_d8_psi(1).source
+    dims = sorted(
+        (psi.target.dim, len(psi.target.components)) for psi in ring.components
+    )
+    assert dims == [(4, 0)] * 2 + [(4, 4)] * 2
+
+
+@st.composite
+def elements(draw, ring: TwRing) -> TwElement:
+    """A product of one to three factors: a zeta^j u_g, an element of small
+    support and coefficients, or a bicyclic unit 1 + (1 - u_g) u_h (1 + u_g)
+    with u_g^2 = 1.  This gives units of finite and infinite order, and
+    non-units."""
+    n, phi = ring.group.order, PHI_DEGREE[ring.conductor]
+    gids = st.integers(0, n - 1)
+    one = ring.one()
+    square_one = [g for g in ring.group.elements() if g and ring.basis(g) * ring.basis(g) == one]
+    x = one
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("trivial", "small", "bicyclic")))
+        vec = [0] * ring.dim
+        if kind == "bicyclic" and square_one:
+            u_g, u_h = ring.basis(draw(st.sampled_from(square_one))), ring.basis(draw(gids))
+            x = x * (one + (one - u_g) * u_h * (one + u_g))
+            continue
+        if kind == "small":
+            for g in draw(st.lists(gids, min_size=1, max_size=3, unique=True)):
+                vec[g * phi + draw(st.integers(0, phi - 1))] = draw(st.integers(-2, 2))
+        else:
+            vec[draw(gids) * phi + draw(st.integers(0, phi - 1))] = draw(st.sampled_from((1, -1)))
+        x = x * ring.from_coords(vec)
+    return x
+
+
+def ring_and_element(max_dim: int):
+    names = sorted(n for n in RINGS if ring_named(n).dim <= max_dim)
+    return st.sampled_from(names).map(ring_named).flatmap(
+        lambda r: st.tuples(st.just(r), elements(r))
+    )
+
+
+@given(ring_and_element(32), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_component_route_matches_the_full_matrix(case, cap):
+    # the verdict, the order, the order capped at cap (None above it) and
+    # the inverse
+    _, x = case
+    assert unit_order(x) == full_unit_order(x)
+    assert unit_order(x, cap) == full_unit_order(x, cap)
+    assert is_unit(x) == full_is_unit(x)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_every_trivial_unit_agrees_with_the_full_matrix(name):
+    # zeta^j u_g for every g and j: at conductor 3 the component inverses
+    # carry powers of zeta_6, which lift back through Z[zeta_3]
+    ring = ring_named(name)
+    for k in range(0, ring.dim, max(1, ring.dim // 16)):
+        vec = [0] * ring.dim
+        vec[k] = -1
+        x = ring.from_coords(vec)
+        inv = is_unit(x)
+        assert inv is not None and inv == full_is_unit(x)
+        assert unit_order(x) == full_unit_order(x)
