@@ -9,6 +9,7 @@ a fixed command line and seed (timing is reported only in human mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -495,10 +496,13 @@ def _caps(args) -> Caps:
     return Caps(**asked)
 
 
+# built on the first run, not at import; parsing leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     for key, value in _GLOBAL_DEFAULTS.items():

@@ -193,11 +193,13 @@ def build_psi(
     chi: LinearCharacter,
     beta: Optional[Cocycle] = None,
     conductor: Optional[int] = None,
+    source: Optional[TwRing] = None,
 ) -> PsiMap:
     """Assemble the projection map for an invariant character of the kernel.
 
     beta is a cocycle on the quotient (default trivial); the source ring is
-    twisted by its inflation, the target by beta * T(chi).
+    twisted by its inflation, the target by beta * T(chi).  A caller that
+    already holds that source ring may pass it, and it is used as it is.
     """
     if chi.group != ext.sub_group:
         raise ValueError("character must live on the extension kernel")
@@ -218,8 +220,8 @@ def build_psi(
     target_cocycle = Cocycle(g, m_t, target_table)
     src_conductor = _fit_conductor(lcm(conductor or 1, beta.modulus))
     tgt_conductor = _fit_conductor(lcm(conductor or 1, m_t))
-    beta_total = inflate(beta, ext.proj)
-    source = TwRing(ext.total, beta_total, src_conductor)
+    if source is None:
+        source = TwRing(ext.total, inflate(beta, ext.proj), src_conductor)
     target = TwRing(g, target_cocycle, tgt_conductor)
     images = []
     for gamma in ext.total.elements():
@@ -250,16 +252,28 @@ def apply_psi(psi: PsiMap, x: TwElement) -> TwElement:
 
 
 def psi_multiplicative_on_basis(psi: PsiMap) -> bool:
-    """Whether psi(u_x u_y) = psi(u_x) psi(u_y) for every basis pair (x, y);
-    the basis images are computed once."""
-    src = psi.source
-    basis = [src.basis(x) for x in src.group.elements()]
-    images = [apply_psi(psi, u) for u in basis]
-    return all(
-        apply_psi(psi, ux * uy) == vx * vy
-        for ux, vx in zip(basis, images)
-        for uy, vy in zip(basis, images)
-    )
+    """Whether psi(u_x u_y) = psi(u_x) psi(u_y) for every basis pair (x, y).
+
+    Both sides are monomials zeta_(c_t)^k v_g.  With u_x u_y =
+    zeta_(c_s)^s(x,y) u_xy in the source, v_g v_h = zeta_(c_t)^t(g,h) v_gh in
+    the target and gamma_images[x] = (q(x), e(x)), a pair holds exactly when
+    q(xy) = q(x) q(y) and, modulo c_t,
+    s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y)).
+    """
+    src, tgt = psi.source, psi.target
+    c_t = tgt.conductor
+    step = c_t // src.conductor
+    rs = c_t // tgt.cocycle.modulus
+    tw_s, tw_t = src.structure[2], tgt.structure[2]
+    mul_s, mul_t = src.group.mul, tgt.group.mul
+    images = psi.gamma_images
+    for x, (gx, ex) in enumerate(images):
+        row_s, trow_s, row_t, trow_t = mul_s[x], tw_s[x], mul_t[gx], tw_t[gx]
+        for y, (gy, ey) in enumerate(images):
+            gxy, exy = images[row_s[y]]
+            if gxy != row_t[gy] or (trow_s[y] * step + (exy - ex - ey) * rs - trow_t[gy]) % c_t:
+                return False
+    return True
 
 
 def kernel_basis(psi: PsiMap) -> list[TwElement]:

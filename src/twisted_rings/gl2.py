@@ -52,9 +52,6 @@ class IntMat2:
             return IntMat2(-self.d, self.b, self.c, -self.a)
         raise ValueError("matrix is not invertible over Z")
 
-    def max_abs(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
@@ -142,11 +139,14 @@ class SanovWord:
         return len(self.letters)
 
     def evaluate(self) -> IntMat2:
-        out = I2
+        a, b, c, d = 1, 0, 0, 1
         for base, e in self.letters:
-            m = MAT_V if base == "V" else MAT_W
-            out = out * (m if e == 1 else m.inverse())
-        return out
+            # right multiplication by V^e or W^e is a column operation
+            if base == "V":
+                a, c = a + 2 * e * b, c + 2 * e * d
+            else:
+                b, d = b + 2 * e * a, d + 2 * e * c
+        return IntMat2(a, b, c, d)
 
     def inverse(self) -> "SanovWord":
         return SanovWord(tuple((b, -e) for b, e in reversed(self.letters)))
@@ -165,42 +165,37 @@ class SanovWord:
         return ".".join(b if e == 1 else b + "'" for b, e in self.letters)
 
 
-_PEEL_CANDIDATES = (
-    ("V", 1, MAT_V.inverse()),
-    ("V", -1, MAT_V),
-    ("W", 1, MAT_W.inverse()),
-    ("W", -1, MAT_W),
-)
-
-
 def sanov_membership(mat: IntMat2, step_cap: int = PEEL_STEP_CAP) -> Optional[SanovWord]:
     """Recover the unique reduced word evaluating to mat, if one exists.
 
     Greedy peeling: repeatedly strip the rightmost letter whose removal
     strictly decreases the maximum absolute entry; the recovered word is
     re-evaluated before being returned, so false positives are impossible.
+    Stripping a letter is a column operation on the four entries.
     """
     if mat.det() not in (1, -1):
         raise ValueError("matrix is not invertible over Z")
-    letters: list[tuple[str, int]] = []
-    cur = mat
+    a, b, c, d = mat.entries()
+    peeled: list[tuple[str, int]] = []
     for _ in range(step_cap):
-        if cur.is_identity():
-            word = SanovWord(tuple(letters))
+        if (a, b, c, d) == (1, 0, 0, 1):
+            word = SanovWord(tuple(reversed(peeled)))
             if word.evaluate() != mat:
                 raise ArithmeticError("peeled word fails to re-evaluate")
             return word
-        size = cur.max_abs()
-        best = None
-        for base, e, undo in _PEEL_CANDIDATES:
-            nxt = cur * undo
-            if nxt.max_abs() < size:
-                best = (base, e, nxt)
+        size = max(abs(a), abs(b), abs(c), abs(d))
+        for letter, *nxt in (
+            (("V", 1), a - 2 * b, b, c - 2 * d, d),
+            (("V", -1), a + 2 * b, b, c + 2 * d, d),
+            (("W", 1), a, b - 2 * a, c, d - 2 * c),
+            (("W", -1), a, b + 2 * a, c, d + 2 * c),
+        ):
+            if max(map(abs, nxt)) < size:
+                peeled.append(letter)
+                a, b, c, d = nxt
                 break
-        if best is None:
+        else:
             return None
-        letters.insert(0, (best[0], best[1]))
-        cur = best[2]
     return None
 
 

@@ -53,6 +53,10 @@ class TwRing:
                 f"cocycle values mu_{self.cocycle.modulus} do not embed in "
                 f"Z[zeta_{self.conductor}]"
             )
+        table = self.cocycle.table
+        if any(table[0]) or any(row[0] for row in table):
+            # every ring routine takes u_1 as the identity
+            raise ValueError("twist is not normalized: alpha(1, g) or alpha(g, 1) != 1")
 
     @property
     def dim(self) -> int:
@@ -106,8 +110,9 @@ class TwRing:
             self.cocycle.modulus,
             tuple(tuple(table[a][b] for b in sec) for a in sec),
         )
+        # beta inflated along ext.proj is the ring's own table
         return tuple(
-            build_psi(ext, chi, beta, self.conductor)
+            build_psi(ext, chi, beta, self.conductor, source=self)
             for chi in lin_characters(ext.sub_group, 2)
         )
 
