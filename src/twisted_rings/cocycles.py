@@ -21,7 +21,6 @@ from .groups import (
     build_group,
     element_order,
     elementary_abelian_2,
-    order_histogram,
     subgroup_as_group,
 )
 
@@ -334,10 +333,6 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
     ga = build_group(mul, labels, name=f"G_alpha({g.name})")
     proj = GroupHom(source=ga, target=g, map=tuple(e % n for e in range(total)))
     return GAlpha(group=ga, value_order=o, projection=proj)
-
-
-def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
-    return order_histogram(build_G_alpha(c).group)
 
 
 # ---------------------------------------------------------------------------

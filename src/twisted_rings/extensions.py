@@ -453,38 +453,6 @@ def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
     return out
 
 
-def orbit_space(
-    chars: Sequence[LinearCharacter],
-    actions: Sequence[Sequence[int]],
-) -> list[list[LinearCharacter]]:
-    """Orbits of characters under permutations of the underlying group.
-
-    Each action is a permutation p of element ids; it sends chi to the
-    character x -> chi(p(x)).
-    """
-    index = {chi.values: i for i, chi in enumerate(chars)}
-    seen = set()
-    orbits = []
-    for i, chi in enumerate(chars):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = [chi.values]
-        while frontier:
-            vals = frontier.pop()
-            for p in actions:
-                moved = tuple(vals[p[x]] for x in range(len(vals)))
-                j = index.get(moved)
-                if j is None:
-                    raise ValueError("action does not permute the character set")
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(moved)
-        seen |= orbit
-        orbits.append([chars[j] for j in sorted(orbit)])
-    return orbits
-
-
 def galois_orbits(
     chars: Sequence[LinearCharacter], field_conductor: int
 ) -> list[list[LinearCharacter]]:

@@ -289,13 +289,6 @@ def factor_unit(x: TwElement) -> UnitNF:
     raise ValueError("unit does not factor over the model normal form")
 
 
-def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:
-    t = _BASIS_IMAGES[nf.gamma]
-    if nf.sign == -1:
-        t = -t
-    return phi_model_inverse(ring, t * nf.word.evaluate())
-
-
 # ---------------------------------------------------------------------------
 # Stallings folding for finitely generated subgroups of the free part
 

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Optional
-
-from .cyclotomic import cyclotomic_factors
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -91,52 +87,6 @@ def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | No
         row = m[i]
         y[i] = (prev * row[n] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))) // row[i]
     return sign * prev, [sign * v for v in y]
-
-
-def charpoly(mat: list[list[int]]) -> list[int]:
-    """Characteristic polynomial det(x*I - mat), ascending coefficients.
-
-    Berkowitz's division-free algorithm: the polynomial of the leading
-    (k+1) x (k+1) block is a Toeplitz matrix, built from the products
-    r * A_k^i * c of the block's new row r, new column c and the leading
-    k x k block A_k, times the polynomial of A_k.  O(n^4) integer
-    operations, no division.
-    """
-    poly = [1]  # descending while it is built
-    for k in range(len(mat)):
-        block = [row[:k] for row in mat[:k]]
-        row = mat[k][:k]
-        col = [mat[i][k] for i in range(k)]
-        toeplitz = [1, -mat[k][k]]
-        for i in range(k):
-            toeplitz.append(-sum(map(mul, row, col)))
-            if i < k - 1:
-                col = [sum(map(mul, r, col)) for r in block]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return poly[::-1]
-
-
-def matrix_order(mat: list[list[int]], cap: Optional[int] = None) -> Optional[int]:
-    """Multiplicative order of an integer matrix, or None when infinite (or
-    above cap).
-
-    By Kronecker, a matrix of finite order has a characteristic polynomial
-    that is a product of cyclotomic polynomials Phi_k.  It is also
-    diagonalizable, so its order is then the lcm L of those k, and it has
-    finite order exactly when A^L = I.
-    """
-    factors = cyclotomic_factors(charpoly(mat))
-    if factors is None:
-        return None
-    order = lcm(*factors)
-    if cap is not None and order > cap:
-        return None
-    if mat_pow(mat, order) != identity_matrix(len(mat)):
-        return None
-    return order
 
 
 def det_bareiss(mat: list[list[int]]) -> int:

@@ -1,13 +1,23 @@
 """Arithmetic in twisted group rings R^alpha[G] over Z[zeta_m].
 
-Elements are dense coefficient vectors indexed by group element id.  Unit
-testing goes through the integer regular representation: x is a unit of
-the order exactly when left multiplication by x is invertible over Z,
-i.e. has determinant +-1.  Over a subgroup N of central involutions along
-which the twist is inflated, Q R^alpha[G] splits into the components
+Elements are dense coefficient vectors indexed by group element id.  x is
+a unit of the order exactly when left multiplication L_x by x is invertible
+over Z, i.e. has determinant +-1.  Over a subgroup N of central involutions
+along which the twist is inflated, Q R^alpha[G] splits into the components
 Q^(alpha_chi)[G/N], one per character chi of N, and that determinant is
 the product of the component determinants; units and their orders are
 decided component by component.
+
+In an indecomposable component the unit and order tests build no matrix.
+Since alpha(1, h) = 1, tr L_y = |G| Tr(y_1) reads the coefficient of u_1,
+so the traces of the powers x, x^2, ..., x^n give the characteristic
+polynomial of L_x by Newton's identities; its constant term is
+(-1)^n det L_x.  By Kronecker, a unit of finite order has a product of
+cyclotomic polynomials Phi_k as that polynomial and the lcm L of those k
+as its order, and the unit has finite order exactly when x^L = 1 in the
+component.  The bounded scan of small supports decides each distinct
+component image of its candidates once.  ``is_unit``, which returns the inverse, eliminates
+the regular representation instead.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .cocycles import (
@@ -25,10 +35,17 @@ from .cocycles import (
     anticommuting_pair_cocycle,
     c2c2_quaternion_cocycle,
 )
-from .cyclotomic import PHI_DEGREE, SUPPORTED_CONDUCTORS, CycInt, is_root_of_unity, root_to_cyc
-from .errors import CapExceededError, exact_int
+from .cyclotomic import (
+    PHI_DEGREE,
+    SUPPORTED_CONDUCTORS,
+    CycInt,
+    cyclotomic_factors,
+    is_root_of_unity,
+    root_to_cyc,
+)
+from .errors import exact_int
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
-from .intmat import det_solve, matrix_order
+from .intmat import det_solve
 
 
 @lru_cache(maxsize=None)
@@ -231,14 +248,7 @@ class TwElement:
             if inv is None:
                 raise ValueError("negative power of a non-unit")
             return inv ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self.ring.from_coords(_power(self.ring, self.coords(), e))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -366,6 +376,11 @@ def _one_coords(dim: int) -> list[int]:
     return [1] + [0] * (dim - 1)
 
 
+def _coord_list(flat: Sequence[int], phi: int) -> list[tuple[int, int, int]]:
+    """The coordinate list (g, j, a), as TwElement.coords, of flat coordinates."""
+    return [(k // phi, k % phi, a) for k, a in enumerate(flat) if a]
+
+
 def _leaves(ring: TwRing, xs) -> Iterator[tuple[TwRing, list]]:
     """The coordinate lists of the images of xs in the indecomposable
     components of the ring."""
@@ -373,8 +388,7 @@ def _leaves(ring: TwRing, xs) -> Iterator[tuple[TwRing, list]]:
         yield ring, xs
     for psi in ring.components:
         phi = PHI_DEGREE[psi.target.conductor]
-        flat = psi.image_coords(xs)
-        yield from _leaves(psi.target, [(k // phi, k % phi, a) for k, a in enumerate(flat) if a])
+        yield from _leaves(psi.target, _coord_list(psi.image_coords(xs), phi))
 
 
 def _lift_sum(ring: TwRing, parts) -> list[int]:
@@ -433,27 +447,113 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
     return inv
 
 
+@lru_cache(maxsize=None)
+def _traces(conductor: int) -> tuple[int, ...]:
+    """Tr(zeta^t) over Q for 0 <= t < phi: the trace of multiplication by
+    zeta^t on the power basis, whose column s holds zeta^(t+s)."""
+    phi = PHI_DEGREE[conductor]
+    return tuple(
+        sum(root_to_cyc(conductor, t + s, conductor).coeffs[s] for s in range(phi))
+        for t in range(phi)
+    )
+
+
+def _charpoly(ring: TwRing, xs) -> list[int]:
+    """det(t I - L_x), ascending coefficients, for x with coordinate list xs.
+
+    The power sums p_k = tr L_x^k = |G| Tr((x^k)_1) of the eigenvalues fix
+    the coefficients f_k of t^(n-k) by Newton's identities
+    k f_k = -sum_{i=1..k} f_(k-i) p_i, with f_0 = 1.
+    """
+    n, phi, order = ring.dim, PHI_DEGREE[ring.conductor], ring.group.order
+    traces = _traces(ring.conductor)
+    power = _one_coords(n)
+    p: list[int] = []
+    f = [1]
+    for k in range(1, n + 1):
+        power = _tw_mul(ring, _coord_list(power, phi), xs)
+        p.append(order * sum(map(mul, power, traces)))
+        fk, rest = divmod(-sum(map(mul, p, reversed(f))), k)
+        if rest:
+            raise ArithmeticError("power sums do not give an integer polynomial")
+        f.append(fk)
+    return f[::-1]
+
+
+def _power(ring: TwRing, xs, e: int) -> list[int]:
+    """Flat coordinates of x^e for e >= 0, by square and multiply."""
+    phi = PHI_DEGREE[ring.conductor]
+    result = _one_coords(ring.dim)
+    while e:
+        if e & 1:
+            result = _tw_mul(ring, _coord_list(result, phi), xs)
+        e >>= 1
+        if e:
+            xs = _coord_list(_tw_mul(ring, xs, xs), phi)
+    return result
+
+
+def _leaf_order(ring: TwRing, xs, poly: list[int], cap: Optional[int]) -> Optional[int]:
+    """The order of a unit x of a ring without components, whose L_x has
+    characteristic polynomial poly (None when infinite or above cap)."""
+    factors = cyclotomic_factors(poly)
+    if factors is None:
+        return None
+    order = lcm(*factors)
+    if cap is not None and order > cap:
+        return None
+    # L_x 1 = x, so L_x^order = I exactly when x^order = 1
+    return order if _power(ring, xs, order) == _one_coords(ring.dim) else None
+
+
+def _unit_order(
+    ring: TwRing, xs, cap: Optional[int], polys: dict, orders: dict
+) -> tuple[bool, Optional[int]]:
+    """unit_order_coords, with the characteristic polynomial and the order
+    of each leaf image looked up in polys and orders by (leaf position,
+    image) and stored there.  Every leaf's constant term is read before any
+    order is computed.  A scan passes the same tables, and one cap, for all
+    its candidates, so each distinct image is decided once."""
+    if not ring.components:
+        # the ring is its own only leaf, and a scan never repeats a candidate
+        polys, orders = {}, {}
+    leaves = []
+    for i, (leaf, ys) in enumerate(_leaves(ring, xs)):
+        key = (i, tuple(ys))
+        if key not in polys:
+            polys[key] = _charpoly(leaf, ys)
+        if polys[key][0] not in (1, -1):
+            return False, None
+        leaves.append((key, leaf, ys))
+    found = []
+    for key, leaf, ys in leaves:
+        if key not in orders:
+            orders[key] = _leaf_order(leaf, ys, polys[key], cap)
+        if orders[key] is None:
+            return True, None
+        found.append(orders[key])
+    order = lcm(*found)
+    return True, order if cap is None or order <= cap else None
+
+
 def unit_order_coords(
     ring: TwRing, xs, cap: Optional[int] = None
 ) -> tuple[bool, Optional[int]]:
     """unit_order of the element with coordinate list xs (as TwElement.coords).
 
-    Every component determinant is checked before any order is computed;
-    the order is the lcm of the component orders.
+    No matrix is built.  In each indecomposable component the traces of the
+    powers x^k of the image x, read from the coefficient of u_1, give the
+    characteristic polynomial of L_x by Newton's identities, and the image
+    is a unit exactly when its constant term is +-1.  Every component is
+    checked before any order is computed.  A unit image has finite order
+    when that polynomial is a product of cyclotomic Phi_k and x^L = 1 in
+    the component for the lcm L of those k; then L is its order.  The order
+    of the element is the lcm of the component orders.
+    torsion_units_bounded calls _unit_order with the same tables for all
+    its candidates instead, so each distinct component image is decided
+    once.
     """
-    mats = []
-    for leaf, ys in _leaves(ring, xs):
-        mat = _rep_matrix(leaf, ys)
-        if det_solve(mat, _one_coords(len(mat)))[0] not in (1, -1):
-            return False, None
-        mats.append(mat)
-    orders = []
-    for mat in mats:
-        if (order := matrix_order(mat, cap)) is None:
-            return True, None
-        orders.append(order)
-    order = lcm(*orders)
-    return True, order if cap is None or order <= cap else None
+    return _unit_order(ring, xs, cap, {}, {})
 
 
 def unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:
@@ -550,28 +650,7 @@ def cyclic_sum(ring: TwRing, g: int) -> TwElement:
 
 
 # ---------------------------------------------------------------------------
-# bounded enumeration oracles
-
-
-def enumerate_units_bounded(
-    ring: TwRing, bound: int, cap: int = 10**7
-) -> list[TwElement]:
-    """All units with rational integer coefficients in [-bound, bound].
-
-    Exhaustive oracle; the search space (2*bound+1)^|G| must stay below cap.
-    """
-    n = ring.group.order
-    space = (2 * bound + 1) ** n
-    if space > cap:
-        raise CapExceededError(f"unit enumeration space {space} exceeds cap {cap}")
-    units = []
-    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
-        if all(v == 0 for v in vec):
-            continue
-        x = ring.from_int_vector(list(vec))
-        if is_unit(x) is not None:
-            units.append(x)
-    return units
+# bounded scans for torsion units
 
 
 def _small_supports(
@@ -607,8 +686,11 @@ def torsion_units_bounded(
     nonzero = [v for v in coeff_values if v != 0]
     out = []
     max_support = support_cap if support_cap is not None else ring.group.order
+    polys: dict = {}
+    orders: dict = {}
     for support, coeffs in _small_supports(ring, nonzero, max_support):
-        unit, order = unit_order_coords(ring, [(g, 0, v) for g, v in zip(support, coeffs)])
+        xs = [(g, 0, v) for g, v in zip(support, coeffs)]
+        unit, order = _unit_order(ring, xs, None, polys, orders)
         if unit and order is not None:
             out.append(ring.element(dict(zip(support, coeffs))))
     return out

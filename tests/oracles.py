@@ -1,0 +1,134 @@
+"""Reference routines that only the tests call, kept with their bodies
+unchanged from when the library carried them.
+
+``charpoly`` and ``matrix_order`` decide a torsion order on the whole
+integer matrix (Berkowitz's polynomial, then a matrix power), the route
+the library's matrix-free unit and order tests replaced;
+``enumerate_units_bounded`` is the exhaustive unit search; the other three
+are small conveniences over the library's own constructions.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import lcm
+from operator import mul
+from typing import Optional, Sequence
+
+from twisted_rings.cocycles import Cocycle, LinearCharacter, build_G_alpha
+from twisted_rings.cyclotomic import cyclotomic_factors
+from twisted_rings.errors import CapExceededError
+from twisted_rings.gl2 import _BASIS_IMAGES, UnitNF, phi_model_inverse
+from twisted_rings.groups import order_histogram
+from twisted_rings.intmat import identity_matrix, mat_pow
+from twisted_rings.rings import TwElement, TwRing, is_unit
+
+
+def charpoly(mat: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(x*I - mat), ascending coefficients.
+
+    Berkowitz's division-free algorithm: the polynomial of the leading
+    (k+1) x (k+1) block is a Toeplitz matrix, built from the products
+    r * A_k^i * c of the block's new row r, new column c and the leading
+    k x k block A_k, times the polynomial of A_k.  O(n^4) integer
+    operations, no division.
+    """
+    poly = [1]  # descending while it is built
+    for k in range(len(mat)):
+        block = [row[:k] for row in mat[:k]]
+        row = mat[k][:k]
+        col = [mat[i][k] for i in range(k)]
+        toeplitz = [1, -mat[k][k]]
+        for i in range(k):
+            toeplitz.append(-sum(map(mul, row, col)))
+            if i < k - 1:
+                col = [sum(map(mul, r, col)) for r in block]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly[::-1]
+
+
+def matrix_order(mat: list[list[int]], cap: Optional[int] = None) -> Optional[int]:
+    """Multiplicative order of an integer matrix, or None when infinite (or
+    above cap).
+
+    By Kronecker, a matrix of finite order has a characteristic polynomial
+    that is a product of cyclotomic polynomials Phi_k.  It is also
+    diagonalizable, so its order is then the lcm L of those k, and it has
+    finite order exactly when A^L = I.
+    """
+    factors = cyclotomic_factors(charpoly(mat))
+    if factors is None:
+        return None
+    order = lcm(*factors)
+    if cap is not None and order > cap:
+        return None
+    if mat_pow(mat, order) != identity_matrix(len(mat)):
+        return None
+    return order
+
+
+def enumerate_units_bounded(
+    ring: TwRing, bound: int, cap: int = 10**7
+) -> list[TwElement]:
+    """All units with rational integer coefficients in [-bound, bound].
+
+    Exhaustive oracle; the search space (2*bound+1)^|G| must stay below cap.
+    """
+    n = ring.group.order
+    space = (2 * bound + 1) ** n
+    if space > cap:
+        raise CapExceededError(f"unit enumeration space {space} exceeds cap {cap}")
+    units = []
+    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
+        if all(v == 0 for v in vec):
+            continue
+        x = ring.from_int_vector(list(vec))
+        if is_unit(x) is not None:
+            units.append(x)
+    return units
+
+
+def orbit_space(
+    chars: Sequence[LinearCharacter],
+    actions: Sequence[Sequence[int]],
+) -> list[list[LinearCharacter]]:
+    """Orbits of characters under permutations of the underlying group.
+
+    Each action is a permutation p of element ids; it sends chi to the
+    character x -> chi(p(x)).
+    """
+    index = {chi.values: i for i, chi in enumerate(chars)}
+    seen = set()
+    orbits = []
+    for i, chi in enumerate(chars):
+        if i in seen:
+            continue
+        orbit = {i}
+        frontier = [chi.values]
+        while frontier:
+            vals = frontier.pop()
+            for p in actions:
+                moved = tuple(vals[p[x]] for x in range(len(vals)))
+                j = index.get(moved)
+                if j is None:
+                    raise ValueError("action does not permute the character set")
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(moved)
+        seen |= orbit
+        orbits.append([chars[j] for j in sorted(orbit)])
+    return orbits
+
+
+def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:
+    t = _BASIS_IMAGES[nf.gamma]
+    if nf.sign == -1:
+        t = -t
+    return phi_model_inverse(ring, t * nf.word.evaluate())
+
+
+def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
+    return order_histogram(build_G_alpha(c).group)

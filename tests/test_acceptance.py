@@ -9,12 +9,12 @@ import time
 
 import pytest
 
+from oracles import enumerate_units_bounded, g_alpha_order_histogram
 from twisted_rings.cocycles import (
     are_cohomologous,
     c2c2_matrix_cocycle,
     c2c2_quaternion_cocycle,
     coboundary_twist,
-    g_alpha_order_histogram,
     validate_cocycle,
 )
 from twisted_rings.d8_case import build_d8_psi, d8_case_study
@@ -45,7 +45,6 @@ from twisted_rings.rings import (
     berman_higman_violations,
     conj_character,
     cyclic_sum,
-    enumerate_units_bounded,
     is_unit,
     quaternion_twist_ring,
     torsion_order,

@@ -24,7 +24,8 @@ from twisted_rings.groups import (
     elementary_abelian_2,
     quaternion8,
 )
-from twisted_rings.intmat import det_solve, matrix_order
+from oracles import matrix_order
+from twisted_rings.intmat import det_solve
 from twisted_rings.rings import (
     TwElement,
     TwRing,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import orbit_space
 from twisted_rings.cocycles import (
     LinearCharacter,
     c2c2_matrix_cocycle,
@@ -19,7 +20,6 @@ from twisted_rings.extensions import (
     kernel_finiteness_predicate,
     kernel_torsion_scan,
     lin_characters,
-    orbit_space,
     perlis_walker_counts,
     torsion_kernel_units,
 )

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import unit_from_nf
 from twisted_rings.errors import CapExceededError
 from twisted_rings.gl2 import (
     I2,
@@ -19,7 +20,6 @@ from twisted_rings.gl2 import (
     reduced_words,
     sanov_membership,
     subgroup_from_generators,
-    unit_from_nf,
     unit_index_audit,
 )
 from twisted_rings.rings import anticommuting_ring, is_unit

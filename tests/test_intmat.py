@@ -3,13 +3,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import charpoly, matrix_order
 from twisted_rings.intmat import (
-    charpoly,
     det_bareiss,
     det_solve,
     identity_matrix,
     mat_mul,
-    matrix_order,
     solve_exact,
 )
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_units_bounded
 from twisted_rings.cocycles import trivial_cocycle
 from twisted_rings.cyclotomic import CycInt
 from twisted_rings.groups import cyclic, element_order, elementary_abelian_2
@@ -14,7 +15,6 @@ from twisted_rings.rings import (
     berman_higman_violations,
     conj_character,
     cyclic_sum,
-    enumerate_units_bounded,
     element_from_json,
     is_unit,
     partition_by_self_twist,

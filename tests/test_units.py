@@ -1,12 +1,12 @@
 import pytest
 
+from oracles import enumerate_units_bounded
 from twisted_rings.cocycles import Cocycle, trivial_cocycle
 from twisted_rings.d8_case import build_d8_psi
 from twisted_rings.groups import cyclic, elementary_abelian_2, quaternion8
 from twisted_rings.rings import (
     TwRing,
     anticommuting_ring,
-    enumerate_units_bounded,
     is_unit,
     quaternion_twist_ring,
     torsion_order,
