@@ -99,6 +99,13 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
     return cocycles.Cocycle(g, exact_int(spec["m"], "m"), table)
 
 
+def _in_range(value: int, lo: int, hi: int, flag: str) -> int:
+    """value when lo <= value <= hi, else a usage error naming the flag."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} {value} out of range {lo}..{hi}")
+    return value
+
+
 def _load_ring(spec: dict) -> rings.TwRing:
     """The ring of a JSON spec; its twist must be a normalized cocycle, so
     that u_1 is the identity."""
@@ -207,6 +214,8 @@ def _cmd_ring(args, report: Report) -> None:
 
 def _cmd_ext(args, report: Report) -> None:
     g = groups.group_from_json(_load_json_arg(args.group))
+    for v in args.normal + (args.section or []):
+        _in_range(v, 0, g.order - 1, "element id")
     sub = set(args.normal)
     ext = extensions.build_extension(g, sub, section_map=args.section)
     if args.action == "build":
@@ -223,7 +232,7 @@ def _cmd_ext(args, report: Report) -> None:
         )
         return
     chars = extensions.lin_characters(ext.sub_group, args.chi_modulus)
-    chi = chars[args.chi]
+    chi = chars[_in_range(args.chi, 0, len(chars) - 1, "--chi")]
     psi = extensions.build_psi(ext, chi)
     if args.action == "psi":
         ok = extensions.psi_multiplicative_on_basis(psi)
@@ -293,7 +302,9 @@ def _cmd_units(args, report: Report) -> None:
         )
     elif args.action == "bicyclic":
         ring = _load_ring(_load_json_arg(args.ring))
-        u = units.minimal_twisted_bicyclic(ring, args.g, args.h)
+        top = ring.group.order - 1
+        g, h = _in_range(args.g, 0, top, "--g"), _in_range(args.h, 0, top, "--h")
+        u = units.minimal_twisted_bicyclic(ring, g, h)
         inc = u - ring.one()
         report.add(
             check(
@@ -325,6 +336,8 @@ def _cmd_tower(args, report: Report) -> None:
         base = _load_ring(_load_json_arg(args.ring))
     else:
         base = rings.anticommuting_ring(0)
+    if args.action != "scan":
+        _in_range(args.level, 1, args.n, "--level")
     ctx = tower.build_tower(base, args.n)
     rng = random.Random(args.seed)
     if args.action == "scan":

@@ -93,15 +93,8 @@ def _require_model_ring(ring: TwRing) -> None:
 def phi_model(x: TwElement) -> IntMat2:
     """The ring isomorphism onto the parity-conditioned 2x2 matrices."""
     _require_model_ring(x.ring)
-    acc = [0, 0, 0, 0]
-    for g, cyc in x.items():
-        c = cyc.as_int()
-        m = _BASIS_IMAGES[g]
-        acc[0] += c * m.a
-        acc[1] += c * m.b
-        acc[2] += c * m.c
-        acc[3] += c * m.d
-    return IntMat2(*acc)
+    terms = [[c * e for e in m.entries()] for c, m in zip(x.int_vector(), _BASIS_IMAGES)]
+    return IntMat2(*map(sum, zip(*terms)))
 
 
 def phi_model_inverse(ring: TwRing, mat: IntMat2) -> TwElement:

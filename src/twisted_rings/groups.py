@@ -502,6 +502,8 @@ def validate_section(s: Section) -> None:
     lam = s.of
     if not lam.is_surjective():
         raise ValueError("section of a non-surjective homomorphism")
+    if len(s.map) != lam.target.order:
+        raise ValueError(f"section has {len(s.map)} entries for {lam.target.order} cosets")
     if s.map[0] != 0:
         raise ValueError("section does not fix the identity")
     for gid in lam.target.elements():

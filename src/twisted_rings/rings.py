@@ -1,6 +1,8 @@
 """Arithmetic in twisted group rings R^alpha[G] over Z[zeta_m].
 
-Elements are dense coefficient vectors indexed by group element id.  x is
+An element is the flat tuple of its integer coordinates in the Z-basis
+zeta^j u_g, and all arithmetic works on those; a coefficient in Z[zeta_m]
+is built as a CycInt only when read (coeff, items, coeffs, JSON, repr).  x is
 a unit of the order exactly when left multiplication L_x by x is invertible
 over Z, i.e. has determinant +-1.  Over a subgroup N of central involutions
 along which the twist is inflated, Q R^alpha[G] splits into the components
@@ -16,8 +18,8 @@ polynomial of L_x by Newton's identities; its constant term is
 cyclotomic polynomials Phi_k as that polynomial and the lcm L of those k
 as its order, and the unit has finite order exactly when x^L = 1 in the
 component.  The bounded scan of small supports decides each distinct
-component image of its candidates once.  ``is_unit``, which returns the inverse, eliminates
-the regular representation instead.
+component image of its candidates once.  ``is_unit``, which returns the
+inverse, eliminates the regular representation instead.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import add, itemgetter, mul
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cocycles import (
     Cocycle,
@@ -144,31 +146,34 @@ class TwRing:
         raise TypeError(f"cannot use {value!r} as a ring coefficient")
 
     def zero(self) -> "TwElement":
-        z = self.zero_coeff()
-        return TwElement(self, tuple(z for _ in self.group.elements()))
+        return self.from_coords((0,) * self.dim)
 
     def one(self) -> "TwElement":
         return self.basis(0)
 
     def basis(self, g: int, value=1) -> "TwElement":
-        coeffs = [self.zero_coeff()] * self.group.order
-        coeffs[g] = self.coerce_coeff(value)
-        return TwElement(self, tuple(coeffs))
+        return self.element({g: value})
 
     def element(self, mapping: Mapping[int, object]) -> "TwElement":
-        coeffs = [self.zero_coeff()] * self.group.order
+        phi = PHI_DEGREE[self.conductor]
+        vec = [0] * self.dim
         for g, v in mapping.items():
-            coeffs[g] = self.coerce_coeff(v)
-        return TwElement(self, tuple(coeffs))
+            vec[g * phi : (g + 1) * phi] = self.coerce_coeff(v).coeffs
+        return self.from_coords(vec)
 
     def from_int_vector(self, vec: Sequence[int]) -> "TwElement":
-        return TwElement(self, tuple(CycInt.integer(v, self.conductor) for v in vec))
+        flat = [0] * self.dim
+        flat[:: PHI_DEGREE[self.conductor]] = vec
+        return self.from_coords(flat)
 
-    def from_coords(self, vec: Sequence[int]) -> "TwElement":
+    def from_coords(self, vec: Iterable[int]) -> "TwElement":
         """The element with flat coordinates vec in the zeta^j u_g basis."""
-        phi, z = PHI_DEGREE[self.conductor], self.zero_coeff()
-        blocks = (tuple(vec[k : k + phi]) for k in range(0, len(vec), phi))
-        return TwElement(self, tuple(CycInt(self.conductor, b) if any(b) else z for b in blocks))
+        x = object.__new__(TwElement)
+        object.__setattr__(x, "ring", self)
+        object.__setattr__(x, "vec", tuple(vec))
+        if len(x.vec) != self.dim:
+            raise ValueError(f"{len(x.vec)} coordinates for a ring of dimension {self.dim}")
+        return x
 
     def __repr__(self) -> str:
         return (
@@ -177,20 +182,29 @@ class TwRing:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwElement:
-    """Element of a twisted group ring as a dense coefficient vector."""
+    """Element of a twisted group ring: vec[g * phi + j] is the coordinate of
+    zeta^j u_g, phi the degree of Z[zeta_c].  TwElement(ring, coeffs) takes
+    one coefficient per group element (a CycInt of a smaller conductor is
+    embedded); ring.from_coords takes the flat coordinates."""
 
     ring: TwRing
-    coeffs: tuple[CycInt, ...]
+    vec: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ring.group.order:
+    def __init__(self, ring: TwRing, coeffs: Sequence) -> None:
+        if len(coeffs) != ring.group.order:
             raise ValueError("coefficient vector length does not match group order")
-        c = self.ring.conductor
-        if any(a.m != c for a in self.coeffs):
-            # the integer kernels read coordinates in the ring's power basis
-            object.__setattr__(self, "coeffs", tuple(a.embed(c) for a in self.coeffs))
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "vec", ring.element(dict(enumerate(coeffs))).vec)
+
+    @cached_property
+    def coeffs(self) -> tuple[CycInt, ...]:
+        """The coefficient of each u_g in Z[zeta_c], built on first read."""
+        c, z = self.ring.conductor, self.ring.zero_coeff()
+        phi = PHI_DEGREE[c]
+        blocks = (self.vec[k : k + phi] for k in range(0, len(self.vec), phi))
+        return tuple(CycInt(c, b) if any(b) else z for b in blocks)
 
     def coeff(self, g: int) -> CycInt:
         return self.coeffs[g]
@@ -200,47 +214,36 @@ class TwElement:
 
     def coords(self) -> list[tuple[int, int, int]]:
         """Nonzero coordinates (g, j, a) of self = sum a zeta^j u_g."""
-        return [
-            (g, j, a) for g, c in enumerate(self.coeffs) for j, a in enumerate(c.coeffs) if a
-        ]
+        return _coord_list(self.vec, PHI_DEGREE[self.ring.conductor])
 
     def support(self) -> tuple[int, ...]:
-        return tuple(g for g, c in enumerate(self.coeffs) if not c.is_zero())
+        phi = PHI_DEGREE[self.ring.conductor]
+        return tuple(dict.fromkeys(k // phi for k, a in enumerate(self.vec) if a))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.vec)
 
     def __add__(self, other) -> "TwElement":
         other = _coerce_element(self.ring, other)
-        return TwElement(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.ring.from_coords(map(add, self.vec, other.vec))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TwElement":
-        return TwElement(self.ring, tuple(-a for a in self.coeffs))
+        return self.ring.from_coords(-a for a in self.vec)
 
     def __sub__(self, other) -> "TwElement":
-        other = _coerce_element(self.ring, other)
-        return self + (-other)
+        return self + -_coerce_element(self.ring, other)
 
     def __rsub__(self, other) -> "TwElement":
         return (-self) + other
 
     def __mul__(self, other) -> "TwElement":
-        if isinstance(other, (int, CycInt)):
-            other = self.ring.basis(0, other)
-        if isinstance(other, TwElement):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch in multiplication")
-            return self.ring.from_coords(_tw_mul(self.ring, self.coords(), other.coords()))
-        return NotImplemented
+        other = _coerce_element(self.ring, other)
+        return self.ring.from_coords(_tw_mul(self.ring, self.coords(), other.coords()))
 
-    def __rmul__(self, other) -> "TwElement":
-        if isinstance(other, (int, CycInt)):
-            return self * other
-        return NotImplemented
+    # coefficients are central
+    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "TwElement":
         if e < 0:
@@ -255,32 +258,27 @@ class TwElement:
             other = self.ring.basis(0, other)
         if not isinstance(other, TwElement):
             return NotImplemented
-        return self.ring == other.ring and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.vec == other.vec and self.ring == other.ring
 
     def __hash__(self) -> int:
-        return hash((self.ring.group.order, self.ring.conductor, self.coeffs))
+        return hash((self.ring.group.order, self.ring.conductor, self.vec))
 
     def divide_exact(self, k: int) -> "TwElement":
         """Divide every integer coordinate by k; error if not divisible."""
-        out = []
-        for c in self.coeffs:
-            vals = []
-            for v in c.coeffs:
-                if v % k:
-                    raise ValueError(f"coefficient {c!r} not divisible by {k}")
-                vals.append(v // k)
-            out.append(CycInt(c.m, tuple(vals)))
-        return TwElement(self.ring, tuple(out))
+        if any(v % k for v in self.vec):
+            raise ValueError(f"{self!r} is not divisible by {k}")
+        return self.ring.from_coords(v // k for v in self.vec)
 
     def content(self) -> int:
         """gcd of the integer coordinates in the zeta^j u_g basis (0 for 0)."""
-        return gcd(*(v for c in self.coeffs for v in c.coeffs))
+        return gcd(*self.vec)
 
     def int_vector(self) -> list[int]:
         """Coefficients as rational integers (requires a rational element)."""
-        return [c.as_int() for c in self.coeffs]
+        phi = PHI_DEGREE[self.ring.conductor]
+        if any(a for k, a in enumerate(self.vec) if k % phi):
+            raise ValueError(f"{self!r} has a coefficient that is not a rational integer")
+        return list(self.vec[::phi])
 
     def __repr__(self) -> str:
         terms = []
@@ -541,17 +539,9 @@ def unit_order_coords(
 ) -> tuple[bool, Optional[int]]:
     """unit_order of the element with coordinate list xs (as TwElement.coords).
 
-    No matrix is built.  In each indecomposable component the traces of the
-    powers x^k of the image x, read from the coefficient of u_1, give the
-    characteristic polynomial of L_x by Newton's identities, and the image
-    is a unit exactly when its constant term is +-1.  Every component is
-    checked before any order is computed.  A unit image has finite order
-    when that polynomial is a product of cyclotomic Phi_k and x^L = 1 in
-    the component for the lcm L of those k; then L is its order.  The order
-    of the element is the lcm of the component orders.
-    torsion_units_bounded calls _unit_order with the same tables for all
-    its candidates instead, so each distinct component image is decided
-    once.
+    No matrix is built: each component image is decided by its Newton
+    polynomial and one power, as the module docstring sets out, and the
+    order of the element is the lcm of the component orders.
     """
     return _unit_order(ring, xs, cap, {}, {})
 

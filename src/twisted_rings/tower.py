@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .cocycles import inflate
+from .cyclotomic import PHI_DEGREE
 from .groups import GroupHom, direct_product, element_order, elementary_abelian_2
 from .rings import TwElement, TwRing, basis_power_exponent, conj_character, is_unit
 from .units import minimal_twisted_bicyclic
@@ -45,11 +46,11 @@ def embed_up(ctx: TowerContext, i: int, x: TwElement) -> TwElement:
     hi = ctx.rings[i]
     if x.ring != lo:
         raise ValueError("element is not at the expected level")
-    z = hi.zero_coeff()
-    coeffs = [z] * hi.group.order
-    for g, c in x.items():
-        coeffs[2 * g] = c
-    return TwElement(hi, tuple(coeffs))
+    phi = PHI_DEGREE[lo.conductor]
+    vec = [0] * hi.dim
+    for g, j, a in x.coords():
+        vec[2 * g * phi + j] = a
+    return hi.from_coords(vec)
 
 
 def _retract(ctx: TowerContext, i: int, x: TwElement, negate: bool) -> TwElement:
@@ -57,11 +58,11 @@ def _retract(ctx: TowerContext, i: int, x: TwElement, negate: bool) -> TwElement
     lo = ctx.rings[i - 1]
     if x.ring != ctx.rings[i]:
         raise ValueError("element is not at the expected level")
-    z = lo.zero_coeff()
-    coeffs = [z] * lo.group.order
-    for g, c in x.items():
-        coeffs[g // 2] = coeffs[g // 2] + (-c if negate and g % 2 else c)
-    return TwElement(lo, tuple(coeffs))
+    phi = PHI_DEGREE[lo.conductor]
+    vec = [0] * lo.dim
+    for g, j, a in x.coords():
+        vec[g // 2 * phi + j] += -a if negate and g % 2 else a
+    return lo.from_coords(vec)
 
 
 def project_psi(ctx: TowerContext, i: int, x: TwElement) -> TwElement:

@@ -4,19 +4,22 @@ unchanged from when the library carried them.
 ``charpoly`` and ``matrix_order`` decide a torsion order on the whole
 integer matrix (Berkowitz's polynomial, then a matrix power), the route
 the library's matrix-free unit and order tests replaced;
-``enumerate_units_bounded`` is the exhaustive unit search; the other three
-are small conveniences over the library's own constructions.
+``enumerate_units_bounded`` is the exhaustive unit search;
+``CycTupleElement`` is the ring element as it was stored before it held flat
+integer coordinates, one ``CycInt`` per group element; the other three are
+small conveniences over the library's own constructions.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from dataclasses import dataclass
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from twisted_rings.cocycles import Cocycle, LinearCharacter, build_G_alpha
-from twisted_rings.cyclotomic import cyclotomic_factors
+from twisted_rings.cyclotomic import CycInt, cyclotomic_factors
 from twisted_rings.errors import CapExceededError
 from twisted_rings.gl2 import _BASIS_IMAGES, UnitNF, phi_model_inverse
 from twisted_rings.groups import order_histogram
@@ -132,3 +135,95 @@ def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:
 
 def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
     return order_histogram(build_G_alpha(c).group)
+
+
+@dataclass(frozen=True)
+class CycTupleElement:
+    """The former TwElement: a dense tuple of CycInt coefficients, one per
+    group element.  Only its additive and read-only API is kept; its sums
+    take another CycTupleElement of the same ring."""
+
+    ring: TwRing
+    coeffs: tuple[CycInt, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) != self.ring.group.order:
+            raise ValueError("coefficient vector length does not match group order")
+        c = self.ring.conductor
+        if any(a.m != c for a in self.coeffs):
+            # the integer kernels read coordinates in the ring's power basis
+            object.__setattr__(self, "coeffs", tuple(a.embed(c) for a in self.coeffs))
+
+    def coeff(self, g: int) -> CycInt:
+        return self.coeffs[g]
+
+    def items(self) -> list[tuple[int, CycInt]]:
+        return [(g, c) for g, c in enumerate(self.coeffs) if not c.is_zero()]
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(g for g, c in enumerate(self.coeffs) if not c.is_zero())
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __add__(self, other) -> "CycTupleElement":
+        return CycTupleElement(
+            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __neg__(self) -> "CycTupleElement":
+        return CycTupleElement(self.ring, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other) -> "CycTupleElement":
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycTupleElement):
+            return NotImplemented
+        return self.ring == other.ring and all(
+            a == b for a, b in zip(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ring.group.order, self.ring.conductor, self.coeffs))
+
+    def divide_exact(self, k: int) -> "CycTupleElement":
+        """Divide every integer coordinate by k; error if not divisible."""
+        out = []
+        for c in self.coeffs:
+            vals = []
+            for v in c.coeffs:
+                if v % k:
+                    raise ValueError(f"coefficient {c!r} not divisible by {k}")
+                vals.append(v // k)
+            out.append(CycInt(c.m, tuple(vals)))
+        return CycTupleElement(self.ring, tuple(out))
+
+    def content(self) -> int:
+        """gcd of the integer coordinates in the zeta^j u_g basis (0 for 0)."""
+        return gcd(*(v for c in self.coeffs for v in c.coeffs))
+
+    def int_vector(self) -> list[int]:
+        """Coefficients as rational integers (requires a rational element)."""
+        return [c.as_int() for c in self.coeffs]
+
+    def __repr__(self) -> str:
+        terms = []
+        for g, c in self.items():
+            lab = self.ring.group.labels[g]
+            if g == 0:
+                terms.append(f"{c!r}")
+            elif c == 1:
+                terms.append(f"u[{lab}]")
+            elif c == -1:
+                terms.append(f"-u[{lab}]")
+            else:
+                terms.append(f"({c!r})*u[{lab}]")
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+    def to_json(self) -> dict:
+        return {
+            "coeffs": [
+                {"g": g, "m": c.m, "c": list(c.coeffs)} for g, c in self.items()
+            ]
+        }
