@@ -99,10 +99,13 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
     return cocycles.Cocycle(g, exact_int(spec["m"], "m"), table)
 
 
-def _in_range(value: int, lo: int, hi: int, flag: str) -> int:
-    """value when lo <= value <= hi, else a usage error naming the flag."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{flag} {value} out of range {lo}..{hi}")
+def _in_range(value: Optional[int], lo: int, hi: Optional[int], flag: str) -> int:
+    """value when lo <= value <= hi (or lo <= value when hi is None), else a
+    usage error naming the flag; a flag left unset is an error too."""
+    if value is None:
+        raise ValueError(f"{flag} is required")
+    if value < lo or (hi is not None and value > hi):
+        raise ValueError(f"{flag} {value} out of range {lo}..{'' if hi is None else hi}")
     return value
 
 
@@ -317,7 +320,7 @@ def _cmd_units(args, report: Report) -> None:
             )
         )
     elif args.action == "obstruct":
-        psi = d8_case.build_d8_psi(args.n)
+        psi = d8_case.build_d8_psi(_in_range(args.n, 0, d8_case.MAX_N, "--n"))
         x = rings.element_from_json(psi.target, _load_json_arg(args.element))
         cert = units.parity_obstruction(psi, x)
         report.add(
@@ -336,6 +339,7 @@ def _cmd_tower(args, report: Report) -> None:
         base = _load_ring(_load_json_arg(args.ring))
     else:
         base = rings.anticommuting_ring(0)
+    _in_range(args.n, 1, None, "--n")
     if args.action != "scan":
         _in_range(args.level, 1, args.n, "--level")
     ctx = tower.build_tower(base, args.n)
@@ -400,6 +404,7 @@ def _cmd_case(args, report: Report) -> None:
     if args.case == "c2c2":
         report.items.extend(d8_case.c2c2_audit())
     elif args.case == "d8":
+        _in_range(args.n, 0, d8_case.MAX_N, "--n")
         report.items.extend(d8_case.d8_case_study(args.n).items)
     elif args.case == "congruence":
         report.items.extend(d8_case.congruence_audit(args.i, args.depth))
@@ -426,6 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap-word-length", type=int, help="longest enumerated free word"
+    )
+    common.add_argument(
+        "--cap-scan-candidates", type=int, help="most candidates of a torsion-unit scan"
     )
     parser = argparse.ArgumentParser(
         prog="twisted-rings",

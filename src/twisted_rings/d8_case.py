@@ -34,6 +34,10 @@ from .rings import TwElement, TwRing, is_unit
 from .units import parity_obstruction
 
 
+# the largest level of the case study
+MAX_N = 4
+
+
 @dataclass(frozen=True)
 class AuditItem:
     """A computed value, the claim it is checked against if any, and the verdict."""
@@ -114,8 +118,8 @@ def d8_extension(n: int) -> ExtensionData:
     extended multiplicatively over the y_i, makes the sign character
     transgress to exactly the matrix-model cocycle table.
     """
-    if n > 4:
-        raise ValueError("case study capped at n = 4")
+    if n > MAX_N:
+        raise ValueError(f"case study capped at n = {MAX_N}")
     gamma = dihedral8_times_c2n(n)
     target = elementary_abelian_2(n + 2)
     ycount = n
@@ -384,16 +388,7 @@ def c2c2_audit() -> list[AuditItem]:
             "u_h v u_h^-1 = w, u_g v u_g^-1 = v^-1, u_gh v u_gh^-1 = w^-1",
         )
     )
-    sample = 0
-    collisions = 0
-    for word in gl2.reduced_words(12, limit=2000):
-        mat = word.evaluate()
-        rec = gl2.sanov_membership(mat)
-        if rec is None or rec.letters != word.letters:
-            collisions += 1
-        if mat.is_identity():
-            collisions += 1
-        sample += 1
+    sample, collisions = gl2.word_round_trips(12, limit=2000)
     items.append(
         check(
             "free-word round trips",

@@ -23,6 +23,7 @@ class Caps:
     conductor: int = 24
     coboundary: int = 10**7
     word_length: int = 12
+    scan_candidates: int = 10**6
 
 
 CAPS: ContextVar[Caps] = ContextVar("caps", default=Caps())

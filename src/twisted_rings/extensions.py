@@ -25,7 +25,7 @@ from .cocycles import (
     trivial_cocycle,
     validate_character,
 )
-from .cyclotomic import SUPPORTED_CONDUCTORS, euler_phi
+from .cyclotomic import PHI_DEGREE, SUPPORTED_CONDUCTORS, euler_phi, root_to_cyc
 from .errors import CapExceededError
 from .groups import (
     FiniteGroup,
@@ -176,6 +176,20 @@ class PsiMap:
         return out
 
     @cached_property
+    def lift_terms(self) -> tuple:
+        """What the section lift back to the source reads: the section map,
+        the power-basis vector of zeta_(c_t)^t in Z[zeta_(c_s)] for each
+        t < phi(c_t), and for each z in N its row of the source group table
+        with the sign chi(z)."""
+        c_s, c_t = self.source.conductor, self.target.conductor
+        mul = self.source.group.mul
+        powers = tuple(root_to_cyc(c_t, t, c_s).coeffs for t in range(PHI_DEGREE[c_t]))
+        signs = tuple(
+            (mul[z], -1 if v else 1) for z, v in zip(self.ext.sub_embed, self.chi.values)
+        )
+        return self.ext.section.map, powers, signs
+
+    @cached_property
     def target_group_ring_units_finite(self) -> bool:
         """Whether U(Z[G]) is finite for the target group G, decided once per map."""
         g = self.target.group
@@ -260,18 +274,37 @@ def psi_multiplicative_on_basis(psi: PsiMap) -> bool:
     q(xy) = q(x) q(y) and, modulo c_t,
     s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y)).
     """
+    return quotient_multiplicative(psi) and twist_exponents_multiplicative(psi)
+
+
+def quotient_multiplicative(psi: PsiMap) -> bool:
+    """Whether q(xy) = q(x) q(y) for every basis pair, the half of
+    psi_multiplicative_on_basis that does not depend on the character."""
+    q = [g for g, _ in psi.gamma_images]
+    mul_t = psi.target.group.mul
+    return all(
+        list(map(q.__getitem__, row)) == list(map(mul_t[q[x]].__getitem__, q))
+        for x, row in enumerate(psi.source.group.mul)
+    )
+
+
+def twist_exponents_multiplicative(psi: PsiMap) -> bool:
+    """Whether s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y))
+    modulo c_t for every basis pair, the other half of
+    psi_multiplicative_on_basis."""
     src, tgt = psi.source, psi.target
     c_t = tgt.conductor
     step = c_t // src.conductor
     rs = c_t // tgt.cocycle.modulus
     tw_s, tw_t = src.structure[2], tgt.structure[2]
-    mul_s, mul_t = src.group.mul, tgt.group.mul
-    images = psi.gamma_images
-    for x, (gx, ex) in enumerate(images):
-        row_s, trow_s, row_t, trow_t = mul_s[x], tw_s[x], mul_t[gx], tw_t[gx]
-        for y, (gy, ey) in enumerate(images):
-            gxy, exy = images[row_s[y]]
-            if gxy != row_t[gy] or (trow_s[y] * step + (exy - ex - ey) * rs - trow_t[gy]) % c_t:
+    q = [g for g, _ in psi.gamma_images]
+    e = [exp * rs for _, exp in psi.gamma_images]
+    # t(g, q(y)) + e(y) for every y, one row per quotient element g
+    rhs = [[trow[gy] + ey for gy, ey in zip(q, e)] for trow in tw_t]
+    for x, row in enumerate(src.group.mul):
+        ex = e[x]
+        for s, xy, r in zip(tw_s[x], row, rhs[q[x]]):
+            if (s * step + e[xy] - ex - r) % c_t:
                 return False
     return True
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cocycles import c2c2_matrix_cocycle
 from .errors import CAPS, CapExceededError
@@ -21,6 +21,7 @@ from .rings import TwElement, TwRing
 
 PEEL_STEP_CAP = 64
 COSET_CAP = 4096
+_LETTERS = (("V", 1), ("V", -1), ("W", 1), ("W", -1))
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,10 @@ class SanovWord:
         return len(self.letters)
 
     def evaluate(self) -> IntMat2:
-        a, b, c, d = 1, 0, 0, 1
+        entries = (1, 0, 0, 1)
         for base, e in self.letters:
-            # right multiplication by V^e or W^e is a column operation
-            if base == "V":
-                a, c = a + 2 * e * b, c + 2 * e * d
-            else:
-                b, d = b + 2 * e * a, d + 2 * e * c
-        return IntMat2(a, b, c, d)
+            entries = _times_letter(*entries, base, e)
+        return IntMat2(*entries)
 
     def inverse(self) -> "SanovWord":
         return SanovWord(tuple((b, -e) for b, e in reversed(self.letters)))
@@ -158,62 +155,92 @@ class SanovWord:
         return ".".join(b if e == 1 else b + "'" for b, e in self.letters)
 
 
+def _times_letter(a: int, b: int, c: int, d: int, base: str, e: int) -> tuple[int, ...]:
+    """The entries of (a b; c d) times V^e or W^e, a column operation."""
+    if base == "V":
+        return a + 2 * e * b, b, c + 2 * e * d, d
+    return a, b + 2 * e * a, c, d + 2 * e * c
+
+
+def _peel_step(a: int, b: int, c: int, d: int):
+    """(letter, entries) of one greedy peel step on the matrix (a b; c d):
+    the first letter, in the order V, V^-1, W, W^-1, whose removal from the
+    right strictly decreases the largest absolute entry, and the entries
+    left after removing it.  None when no letter does, as at the identity.
+    Stripping a letter is a column operation on the four entries."""
+    size = max(abs(a), abs(b), abs(c), abs(d))
+    for letter, *nxt in (
+        (("V", 1), a - 2 * b, b, c - 2 * d, d),
+        (("V", -1), a + 2 * b, b, c + 2 * d, d),
+        (("W", 1), a, b - 2 * a, c, d - 2 * c),
+        (("W", -1), a, b + 2 * a, c, d + 2 * c),
+    ):
+        if max(map(abs, nxt)) < size:
+            return letter, tuple(nxt)
+    return None
+
+
 def sanov_membership(mat: IntMat2, step_cap: int = PEEL_STEP_CAP) -> Optional[SanovWord]:
     """Recover the unique reduced word evaluating to mat, if one exists.
 
     Greedy peeling: repeatedly strip the rightmost letter whose removal
     strictly decreases the maximum absolute entry; the recovered word is
     re-evaluated before being returned, so false positives are impossible.
-    Stripping a letter is a column operation on the four entries.
     """
     if mat.det() not in (1, -1):
         raise ValueError("matrix is not invertible over Z")
-    a, b, c, d = mat.entries()
+    entries = mat.entries()
     peeled: list[tuple[str, int]] = []
     for _ in range(step_cap):
-        if (a, b, c, d) == (1, 0, 0, 1):
+        if entries == (1, 0, 0, 1):
             word = SanovWord(tuple(reversed(peeled)))
             if word.evaluate() != mat:
                 raise ArithmeticError("peeled word fails to re-evaluate")
             return word
-        size = max(abs(a), abs(b), abs(c), abs(d))
-        for letter, *nxt in (
-            (("V", 1), a - 2 * b, b, c - 2 * d, d),
-            (("V", -1), a + 2 * b, b, c + 2 * d, d),
-            (("W", 1), a, b - 2 * a, c, d - 2 * c),
-            (("W", -1), a, b + 2 * a, c, d + 2 * c),
-        ):
-            if max(map(abs, nxt)) < size:
-                peeled.append(letter)
-                a, b, c, d = nxt
-                break
-        else:
+        step = _peel_step(*entries)
+        if step is None:
             return None
+        letter, entries = step
+        peeled.append(letter)
     return None
 
 
-def reduced_words(max_length: int, limit: Optional[int] = None) -> Iterator[SanovWord]:
-    """Reduced words in breadth-first length order (optionally capped)."""
+def word_round_trips(
+    max_length: int, limit: Optional[int] = None, step_cap: int = PEEL_STEP_CAP
+) -> tuple[int, int]:
+    """(words, failures) of word -> matrix -> sanov_membership(matrix, step_cap)
+    over the reduced words of length 1 to max_length, breadth first with
+    V, V^-1, W, W^-1 in that order, stopping after limit words.
+
+    A word fails when the peel does not return it, and once more when its
+    matrix is the identity.  The matrix of w x is that of w times x.  The
+    peel is a function of the matrix, so when w round trips and the first
+    peel step on w x strips x and leaves the matrix of w, within the step
+    cap, w x round trips too; only a word where that fails is peeled in full.
+    """
     if max_length > (cap := CAPS.get().word_length):
         raise CapExceededError(f"word length {max_length} exceeds cap {cap}")
-    count = 0
-    queue: list[tuple[tuple[str, int], ...]] = [()]
-    for length in range(max_length + 1):
-        next_queue = []
-        for letters in queue:
-            if length:
-                yield SanovWord(letters)
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-            if length == max_length:
-                continue
-            for base in ("V", "W"):
-                for e in (1, -1):
-                    if letters and letters[-1][0] == base and letters[-1][1] == -e:
-                        continue
-                    next_queue.append(letters + ((base, e),))
-        queue = next_queue
+    words = failures = 0
+    # each word of the previous length: (letters, matrix entries, round trips)
+    level = [((), (1, 0, 0, 1), True)]
+    for length in range(1, max_length + 1):
+        children = []
+        for letters, parent, parent_ok in level:
+            for letter in _LETTERS:
+                if letters and letters[-1] == (letter[0], -letter[1]):
+                    continue
+                word, entries = letters + (letter,), _times_letter(*parent, *letter)
+                ok = parent_ok and length < step_cap and _peel_step(*entries) == (letter, parent)
+                if not ok:
+                    found = sanov_membership(IntMat2(*entries), step_cap)
+                    ok = found is not None and found.letters == word
+                    failures += (not ok) + (entries == (1, 0, 0, 1))
+                children.append((word, entries, ok))
+                words += 1
+                if limit is not None and words >= limit:
+                    return words, failures
+        level = children
+    return words, failures
 
 
 # ---------------------------------------------------------------------------

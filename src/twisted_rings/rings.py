@@ -7,8 +7,8 @@ a unit of the order exactly when left multiplication L_x by x is invertible
 over Z, i.e. has determinant +-1.  Over a subgroup N of central involutions
 along which the twist is inflated, Q R^alpha[G] splits into the components
 Q^(alpha_chi)[G/N], one per character chi of N, and that determinant is
-the product of the component determinants; units and their orders are
-decided component by component.
+the product of the component determinants, once each ring has certified
+its split; units and their orders are decided component by component.
 
 In an indecomposable component the unit and order tests build no matrix.
 Since alpha(1, h) = 1, tr L_y = |G| Tr(y_1) reads the coefficient of u_1,
@@ -19,7 +19,8 @@ cyclotomic polynomials Phi_k as that polynomial and the lcm L of those k
 as its order, and the unit has finite order exactly when x^L = 1 in the
 component.  The bounded scan of small supports decides each distinct
 component image of its candidates once.  ``is_unit``, which returns the
-inverse, eliminates the regular representation instead.
+inverse, eliminates the regular representation instead; ``is_unit_coords``
+answers for callers that never read the inverse.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -45,7 +46,7 @@ from .cyclotomic import (
     is_root_of_unity,
     root_to_cyc,
 )
-from .errors import exact_int
+from .errors import CAPS, CapExceededError, exact_int
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
 from .intmat import det_solve
 
@@ -106,7 +107,8 @@ class TwRing:
         twist is inflated: alpha(az, b) = alpha(a, b) = alpha(a, bz).  The
         u_z are then central and every character chi of N is real, so
         Q R^alpha[G] is the direct sum of the targets Q^(alpha_chi)[G/N] of
-        the psi_chi.  Empty when N = 1.
+        the psi_chi.  That is certified here, once per ring, by
+        _certify_components.  Empty when N = 1.
         """
         # a late import: extensions imports this module
         from .extensions import build_extension, build_psi, lin_characters
@@ -130,10 +132,12 @@ class TwRing:
             tuple(tuple(table[a][b] for b in sec) for a in sec),
         )
         # beta inflated along ext.proj is the ring's own table
-        return tuple(
+        psis = tuple(
             build_psi(ext, chi, beta, self.conductor, source=self)
             for chi in lin_characters(ext.sub_group, 2)
         )
+        _certify_components(self, psis)
+        return psis
 
     def zero_coeff(self) -> CycInt:
         return _zero(self.conductor)
@@ -389,25 +393,63 @@ def _leaves(ring: TwRing, xs) -> Iterator[tuple[TwRing, list]]:
         yield from _leaves(psi.target, _coord_list(psi.image_coords(xs), phi))
 
 
-def _lift_sum(ring: TwRing, parts) -> list[int]:
-    """Flat coordinates of |N| x for the components x_chi of x in parts.
+def _lift_sum(psis, parts) -> list[int]:
+    """Flat coordinates of |N| x for the components x_chi of x, given as
+    coordinate lists in parts, one per psi_chi in psis.
 
     The idempotent of chi is e_chi = |N|^-1 sum chi(z) u_z over z in N, and
     x = sum e_chi s(x_chi) for the section lift s(zeta^t v_g) = zeta^t u_mu(g).
     """
-    phi, c, mul = PHI_DEGREE[ring.conductor], ring.conductor, ring.group.mul
+    ring = psis[0].source
+    phi = PHI_DEGREE[ring.conductor]
     out = [0] * ring.dim
-    for psi, part in zip(ring.components, parts):
-        ext, c_t = psi.ext, psi.target.conductor
-        powers = [root_to_cyc(c_t, t, c).coeffs for t in range(PHI_DEGREE[c_t])]
-        signs = [(z, -1 if v else 1) for z, v in zip(ext.sub_embed, psi.chi.values)]
-        for g, t, a in part.coords():
-            lifted = ext.section.map[g]
-            for z, sign in signs:
-                base = mul[z][lifted] * phi
-                for k, v in enumerate(powers[t]):
-                    out[base + k] += sign * a * v
+    for psi, part in zip(psis, parts):
+        section, powers, signs = psi.lift_terms
+        for g, t, a in part:
+            lifted = section[g]
+            terms = [(k, a * v) for k, v in enumerate(powers[t]) if v]
+            for row, sign in signs:
+                base = row[lifted] * phi
+                for k, av in terms:
+                    out[base + k] += sign * av
     return out
+
+
+def _certify_components(ring: TwRing, psis) -> None:
+    """Raise unless the psi_chi in psis split Q R^alpha[G] into their targets.
+
+    Each psi_chi must send 1 to 1 and be multiplicative on basis pairs: the
+    quotient map q, which every psi_chi shares, once for the ring, and the
+    twist exponents once per chi.  The targets must have the ring's
+    dimension in total, and _lift_sum of the images of every basis vector
+    must be |N| times that vector.  Then the sum of the psi_chi is an
+    injective, hence bijective, homomorphism of Q-algebras, so det L_x is
+    the product of the determinants of L_psi_chi(x).
+    """
+    # a late import: extensions imports this module
+    from .extensions import quotient_multiplicative, twist_exponents_multiplicative
+
+    quotient = [g for g, _ in psis[0].gamma_images]
+    if not quotient_multiplicative(psis[0]) or any(
+        [g for g, _ in psi.gamma_images] != quotient for psi in psis
+    ):
+        raise ArithmeticError(f"components of {ring!r}: the quotient map is not multiplicative")
+    for psi in psis:
+        if psi.image_coords([(0, 0, 1)]) != _one_coords(psi.target.dim):
+            raise ArithmeticError(f"component {psi.chi.values} of {ring!r} does not send 1 to 1")
+        if not twist_exponents_multiplicative(psi):
+            raise ArithmeticError(f"component {psi.chi.values} of {ring!r} is not multiplicative")
+    if sum(psi.target.dim for psi in psis) != ring.dim:
+        raise ArithmeticError(f"components of {ring!r} do not add up to its dimension")
+    phi, n = PHI_DEGREE[ring.conductor], len(psis)
+    for k in range(ring.dim):
+        xs = [(k // phi, k % phi, 1)]
+        parts = [
+            _coord_list(psi.image_coords(xs), PHI_DEGREE[psi.target.conductor]) for psi in psis
+        ]
+        lifted = _lift_sum(psis, parts)
+        if lifted[k] != n or any(lifted[:k]) or any(lifted[k + 1 :]):
+            raise ArithmeticError(f"components of {ring!r} do not lift back to the ring")
 
 
 def is_unit(x: TwElement) -> Optional[TwElement]:
@@ -430,7 +472,7 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
                 return None
             parts.append(part)
         n = len(ring.components)
-        total = _lift_sum(ring, parts)
+        total = _lift_sum(ring.components, [part.coords() for part in parts])
         if any(v % n for v in total):
             raise ArithmeticError("component inverses do not lift to the ring")
         inv = ring.from_coords([v // n for v in total])
@@ -504,6 +546,33 @@ def _leaf_order(ring: TwRing, xs, poly: list[int], cap: Optional[int]) -> Option
     return order if _power(ring, xs, order) == _one_coords(ring.dim) else None
 
 
+def _unit_leaves(ring: TwRing, xs, polys: dict) -> Optional[list]:
+    """(key, leaf, image) for the image of xs in each leaf ring, with the
+    characteristic polynomial of that image looked up in polys by key =
+    (leaf position, image) and stored there; None as soon as one leaf
+    determinant, the constant term up to sign, is not +-1."""
+    leaves = []
+    for i, (leaf, ys) in enumerate(_leaves(ring, xs)):
+        key = (i, tuple(ys))
+        if key not in polys:
+            polys[key] = _charpoly(leaf, ys)
+        if polys[key][0] not in (1, -1):
+            return None
+        leaves.append((key, leaf, ys))
+    return leaves
+
+
+def is_unit_coords(ring: TwRing, xs) -> bool:
+    """Whether the element with coordinate list xs (as TwElement.coords) is
+    a unit, without building its inverse.
+
+    x is a unit exactly when det L_x = +-1.  The certified components make
+    det L_x the product of the leaf determinants, which are integers, so x
+    is a unit exactly when every leaf determinant is +-1.
+    """
+    return _unit_leaves(ring, xs, {}) is not None
+
+
 def _unit_order(
     ring: TwRing, xs, cap: Optional[int], polys: dict, orders: dict
 ) -> tuple[bool, Optional[int]]:
@@ -515,14 +584,9 @@ def _unit_order(
     if not ring.components:
         # the ring is its own only leaf, and a scan never repeats a candidate
         polys, orders = {}, {}
-    leaves = []
-    for i, (leaf, ys) in enumerate(_leaves(ring, xs)):
-        key = (i, tuple(ys))
-        if key not in polys:
-            polys[key] = _charpoly(leaf, ys)
-        if polys[key][0] not in (1, -1):
-            return False, None
-        leaves.append((key, leaf, ys))
+    leaves = _unit_leaves(ring, xs, polys)
+    if leaves is None:
+        return False, None
     found = []
     for key, leaf, ys in leaves:
         if key not in orders:
@@ -671,11 +735,17 @@ def torsion_units_bounded(
     """All torsion units with coefficients from coeff_values (0 allowed).
 
     When support_cap is given, only elements with at most that many nonzero
-    coefficients are enumerated.
+    coefficients are enumerated.  A scan of more candidates than the
+    scan_candidates cap is refused before it starts.
     """
     nonzero = [v for v in coeff_values if v != 0]
     out = []
     max_support = support_cap if support_cap is not None else ring.group.order
+    count = sum(
+        comb(ring.group.order, k) * len(nonzero) ** k for k in range(1, max_support + 1)
+    )
+    if count > (cap := CAPS.get().scan_candidates):
+        raise CapExceededError(f"scan of {count} candidates exceeds cap {cap}")
     polys: dict = {}
     orders: dict = {}
     for support, coeffs in _small_supports(ring, nonzero, max_support):

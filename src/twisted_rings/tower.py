@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from .cocycles import inflate
 from .cyclotomic import PHI_DEGREE
 from .groups import GroupHom, direct_product, element_order, elementary_abelian_2
-from .rings import TwElement, TwRing, basis_power_exponent, conj_character, is_unit
+from .rings import (
+    TwElement,
+    TwRing,
+    basis_power_exponent,
+    conj_character,
+    is_unit,
+    is_unit_coords,
+)
 from .units import minimal_twisted_bicyclic
 
 
@@ -114,7 +121,7 @@ def u_group_membership(ctx: TowerContext, k: int, j: int, x: TwElement) -> bool:
         return False
     if (x - ring.one()).content() % (1 << k):
         return False
-    return is_unit(x) is not None
+    return is_unit_coords(ring, x.coords())
 
 
 def u_split(

@@ -28,7 +28,7 @@ from .rings import (
     basis_power_exponent,
     conj_character,
     cyclic_sum,
-    is_unit,
+    is_unit_coords,
     small_support_elements,
     unit_order,
 )
@@ -331,7 +331,7 @@ def parity_obstruction(psi: PsiMap, candidate: TwElement) -> ObstructionCertific
     )
     checks["kernel_central"] = psi.ext.is_central
     checks["target_group_ring_units_finite"] = psi.target_group_ring_units_finite
-    checks["candidate_is_unit"] = is_unit(candidate) is not None
+    checks["candidate_is_unit"] = is_unit_coords(ring, candidate.coords())
     w = candidate - ring.one()
     try:
         wvec = w.int_vector()

@@ -5,6 +5,8 @@ unchanged from when the library carried them.
 integer matrix (Berkowitz's polynomial, then a matrix power), the route
 the library's matrix-free unit and order tests replaced;
 ``enumerate_units_bounded`` is the exhaustive unit search;
+``reduced_words`` lists the free words one at a time, as the round-trip
+audit walked them before it certified each word from its parent;
 ``CycTupleElement`` is the ring element as it was stored before it held flat
 integer coordinates, one ``CycInt`` per group element; the other three are
 small conveniences over the library's own constructions.
@@ -16,12 +18,12 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from twisted_rings.cocycles import Cocycle, LinearCharacter, build_G_alpha
 from twisted_rings.cyclotomic import CycInt, cyclotomic_factors
-from twisted_rings.errors import CapExceededError
-from twisted_rings.gl2 import _BASIS_IMAGES, UnitNF, phi_model_inverse
+from twisted_rings.errors import CAPS, CapExceededError
+from twisted_rings.gl2 import _BASIS_IMAGES, SanovWord, UnitNF, phi_model_inverse
 from twisted_rings.groups import order_histogram
 from twisted_rings.intmat import identity_matrix, mat_pow
 from twisted_rings.rings import TwElement, TwRing, is_unit
@@ -124,6 +126,30 @@ def orbit_space(
         seen |= orbit
         orbits.append([chars[j] for j in sorted(orbit)])
     return orbits
+
+
+def reduced_words(max_length: int, limit: Optional[int] = None) -> Iterator[SanovWord]:
+    """Reduced words in breadth-first length order (optionally capped)."""
+    if max_length > (cap := CAPS.get().word_length):
+        raise CapExceededError(f"word length {max_length} exceeds cap {cap}")
+    count = 0
+    queue: list[tuple[tuple[str, int], ...]] = [()]
+    for length in range(max_length + 1):
+        next_queue = []
+        for letters in queue:
+            if length:
+                yield SanovWord(letters)
+                count += 1
+                if limit is not None and count >= limit:
+                    return
+            if length == max_length:
+                continue
+            for base in ("V", "W"):
+                for e in (1, -1):
+                    if letters and letters[-1][0] == base and letters[-1][1] == -e:
+                        continue
+                    next_queue.append(letters + ((base, e),))
+        queue = next_queue
 
 
 def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import enumerate_units_bounded, g_alpha_order_histogram
+from oracles import enumerate_units_bounded, g_alpha_order_histogram, reduced_words
 from twisted_rings.cocycles import (
     are_cohomologous,
     c2c2_matrix_cocycle,
@@ -33,7 +33,6 @@ from twisted_rings.gl2 import (
     model_ring,
     phi_model,
     phi_model_inverse,
-    reduced_words,
     sanov_membership,
     unit_index_audit,
     IntMat2,

@@ -3,6 +3,7 @@
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -86,3 +87,24 @@ def test_run_leaves_the_global_random_sequence_alone(capsys):
     assert run(["--seed", "5", "tower", "scan", "--n", "1", "--samples", "2"]) == EXIT_OK
     drawn += [random.random(), random.random()]
     assert drawn == expected
+
+
+def test_an_uncapped_scan_over_the_candidate_cap_exits_3_at_once(capsys):
+    # C2^4 with coefficients +-1 and no support cap: 3^16 - 1 candidates
+    ring = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 2}, "conductor": 2})
+    start = time.monotonic()
+    assert run(["ring", "scan", ring]) == EXIT_CAP
+    assert time.monotonic() - start < 1.0
+    assert f"scan of {3**16 - 1} candidates exceeds cap {10**6}" in capsys.readouterr().err
+
+
+def test_the_scan_candidate_cap_is_a_search_cap(capsys):
+    # C2^3 at support 4 scans 1,696 candidates
+    ring = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 1}, "conductor": 2})
+    argv = ["ring", "scan", ring, "--support", "4"]
+    assert run(["--cap-scan-candidates", "1695"] + argv) == EXIT_CAP
+    assert run(["--cap-scan-candidates", "1696"] + argv) == EXIT_OK
+    parse = build_parser().parse_args
+    assert _caps(parse(["--cap-scan-candidates", str(10**9), "case", "d8"])) == Caps(
+        scan_candidates=10**9
+    )

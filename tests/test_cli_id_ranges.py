@@ -32,3 +32,21 @@ def test_out_of_range_ids_exit_2_without_a_traceback(capsys, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["units", "bicyclic", QUAT_RING, "--h", "1"], "--g"),
+        (["tower", "scan", "--n", "0"], "--n"),
+        (["case", "d8", "--n", "-1"], "--n"),
+        (["units", "obstruct", "--n", "-1", "--element", "{}"], "--n"),
+    ],
+    ids=["bicyclic without g", "tower n 0", "d8 n -1", "obstruct n -1"],
+)
+def test_bad_counts_and_missing_ids_exit_2_naming_the_flag(capsys, argv, flag):
+    code = run(["--json", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and "Traceback" not in captured.err

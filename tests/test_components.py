@@ -2,11 +2,13 @@
 
 A ring whose twist is inflated along a subgroup N of central involutions
 splits over Q into one component per character of N, and ``is_unit``,
-``unit_order`` and ``torsion_order`` decide there.  The routes they replaced
-work on the whole regular representation; they are kept here unchanged as
-the oracle at dims <= 32.
+``is_unit_coords``, ``unit_order`` and ``torsion_order`` decide there.  The
+routes they replaced work on the whole regular representation; they are
+kept here unchanged as the oracle at dims <= 32.  The split is certified
+once per ring, and corrupted components must fail that certificate.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Optional
 
@@ -26,11 +28,14 @@ from twisted_rings.groups import (
 )
 from oracles import matrix_order
 from twisted_rings.intmat import det_solve
+from twisted_rings import extensions, rings
 from twisted_rings.rings import (
     TwElement,
     TwRing,
+    _certify_components,
     anticommuting_ring,
     is_unit,
+    is_unit_coords,
     quaternion_twist_ring,
     regular_rep,
     unit_order,
@@ -197,3 +202,107 @@ def test_every_trivial_unit_agrees_with_the_full_matrix(name):
         inv = is_unit(x)
         assert inv is not None and inv == full_is_unit(x)
         assert unit_order(x) == full_unit_order(x)
+
+
+@given(ring_and_element(32))
+@settings(max_examples=300, deadline=None)
+def test_leaf_determinants_decide_units_as_the_verified_inverse_does(case):
+    ring, x = case
+    assert is_unit_coords(ring, x.coords()) == (is_unit(x) is not None)
+
+
+# rings with components: rational, cyclotomic (conductors 6 and 8 in the
+# targets), nontrivial transgressed twists, and the d8 case-study source
+MUTANT_RINGS = ["d8 source n=1", "Z[zeta_3][C2]", "Z[zeta_8][C2 x C2]", "Z[C2 x C4]", "Z[Q8]"]
+
+
+def _with_component(ring: TwRing, i: int, psi) -> list:
+    psis = list(ring.components)
+    psis[i] = psi
+    return psis
+
+
+def _flip_exponent(psi, gamma: int):
+    images = list(psi.gamma_images)
+    g, e = images[gamma]
+    images[gamma] = (g, (e + 1) % psi.target.cocycle.modulus)
+    return replace(psi, gamma_images=tuple(images))
+
+
+@pytest.mark.parametrize("name", MUTANT_RINGS)
+def test_the_components_as_built_pass_the_certificate(name):
+    ring = ring_named(name)
+    _certify_components(ring, ring.components)
+
+
+@pytest.mark.parametrize("name", MUTANT_RINGS)
+def test_a_corrupted_image_fails_the_certificate(name):
+    ring = ring_named(name)
+    last = len(ring.components) - 1
+    bad = _with_component(ring, last, _flip_exponent(ring.components[last], 1))
+    # where N is the whole group the flip gives another character's map,
+    # which is multiplicative; then two components agree, and the lift fails
+    with pytest.raises(ArithmeticError, match="is not multiplicative|do not lift back"):
+        _certify_components(ring, bad)
+
+
+@pytest.mark.parametrize("name", ["d8 source n=1", "Z[C2 x C4]", "Z[Q8]"])
+def test_a_moved_quotient_element_fails_the_certificate(name):
+    # the quotient map of the last component differs from the first's
+    ring = ring_named(name)
+    last = len(ring.components) - 1
+    psi = ring.components[last]
+    images = list(psi.gamma_images)
+    images[1] = ((images[1][0] + 1) % psi.target.group.order, images[1][1])
+    bad = _with_component(ring, last, replace(psi, gamma_images=tuple(images)))
+    with pytest.raises(ArithmeticError, match="quotient map"):
+        _certify_components(ring, bad)
+
+
+@pytest.mark.parametrize("name", MUTANT_RINGS)
+def test_a_component_that_misses_the_identity_fails_the_certificate(name):
+    ring = ring_named(name)
+    bad = _with_component(ring, 0, _flip_exponent(ring.components[0], 0))
+    with pytest.raises(ArithmeticError, match="does not send 1 to 1"):
+        _certify_components(ring, bad)
+
+
+@pytest.mark.parametrize("name", MUTANT_RINGS)
+def test_a_corrupted_lift_fails_the_certificate(name):
+    # the kernel N as the lift reads it, with its last element replaced by
+    # the identity: psi itself is unchanged, only its lift is wrong
+    ring = ring_named(name)
+    psi = ring.components[0]
+    embed = psi.ext.sub_embed[:-1] + (0,)
+    bad = _with_component(ring, 0, replace(psi, ext=replace(psi.ext, sub_embed=embed)))
+    with pytest.raises(ArithmeticError, match="do not lift back"):
+        _certify_components(ring, bad)
+
+
+def test_a_ring_with_a_corrupted_component_refuses_to_decompose(monkeypatch):
+    build_psi = extensions.build_psi
+
+    def corrupted(ext, chi, *args, **kwargs):
+        psi = build_psi(ext, chi, *args, **kwargs)
+        return _flip_exponent(psi, 1) if any(chi.values) else psi
+
+    monkeypatch.setattr(extensions, "build_psi", corrupted)
+    ring = RINGS["d8 source n=1"][0]()
+    with pytest.raises(ArithmeticError, match="is not multiplicative"):
+        ring.components
+
+
+def test_is_unit_still_verifies_the_inverse_it_returns(monkeypatch):
+    ring = ring_named("d8 source n=1")
+    ring.components  # certified before the lift is corrupted
+    lift_sum = rings._lift_sum
+
+    def corrupted(psis, parts):
+        out = lift_sum(psis, parts)
+        out[1] += len(psis)
+        return out
+
+    monkeypatch.setattr(rings, "_lift_sum", corrupted)
+    with pytest.raises(ArithmeticError, match="inverse verification failed"):
+        is_unit(ring.basis(3))
+    assert is_unit_coords(ring, ring.basis(3).coords())

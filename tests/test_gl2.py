@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import unit_from_nf
+from oracles import reduced_words, unit_from_nf
 from twisted_rings.errors import CapExceededError
 from twisted_rings.gl2 import (
     I2,
@@ -17,10 +17,10 @@ from twisted_rings.gl2 import (
     nielsen_schreier,
     phi_model,
     phi_model_inverse,
-    reduced_words,
     sanov_membership,
     subgroup_from_generators,
     unit_index_audit,
+    word_round_trips,
 )
 from twisted_rings.rings import anticommuting_ring, is_unit
 
@@ -88,6 +88,38 @@ def test_sanov_words_roundtrip_exhaustively():
         assert recovered.letters == word.letters
         count += 1
     assert count == 4 * (3**8 - 1) // 2
+
+
+def per_word_round_trips(max_length, limit, step_cap):
+    """Oracle: every word evaluated and peeled in full."""
+    words = failures = 0
+    for word in reduced_words(max_length, limit):
+        mat = word.evaluate()
+        found = sanov_membership(mat, step_cap)
+        failures += found is None or found.letters != word.letters
+        failures += mat.is_identity()
+        words += 1
+    return words, failures
+
+
+@pytest.mark.parametrize(
+    "max_length, limit, step_cap",
+    [
+        (12, 2000, 64), (8, None, 64), (12, 1, 64), (3, 0, 64), (0, None, 64),
+        # caps below the word length fail the longer words through the full peel
+        (6, 300, 4), (7, None, 5), (5, None, 2), (4, None, 1), (3, None, 0),
+    ],
+)
+def test_word_round_trips_match_the_per_word_loop(max_length, limit, step_cap):
+    expected = per_word_round_trips(max_length, limit, step_cap)
+    assert word_round_trips(max_length, limit, step_cap) == expected
+    assert (expected[1] > 0) == (step_cap <= max_length)
+
+
+def test_word_round_trips_keep_the_word_length_cap():
+    assert word_round_trips(12, limit=2000) == (2000, 0)
+    with pytest.raises(CapExceededError):
+        word_round_trips(13, limit=1)
 
 
 def test_sanov_membership_examples(ring, vw):
