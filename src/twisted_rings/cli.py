@@ -407,7 +407,8 @@ def _cmd_case(args, report: Report) -> None:
         _in_range(args.n, 0, d8_case.MAX_N, "--n")
         report.items.extend(d8_case.d8_case_study(args.n).items)
     elif args.case == "congruence":
-        report.items.extend(d8_case.congruence_audit(args.i, args.depth))
+        i, depth = _in_range(args.i, 1, None, "--i"), _in_range(args.depth, 0, None, "--depth")
+        report.items.extend(d8_case.congruence_audit(i, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,8 @@ def depth_index_audit(max_depth: int = 3) -> DepthIndexAudit:
     rank formulas (the in-proof rank 9 for depth 2 is confirmed; both
     published closed forms 1 + 2*8^(i-1) and 1 + 2*8^i are refuted).
     """
+    if max_depth > 16:
+        raise CapExceededError("congruence depth audit capped at depth 16 (mod 2^18)")
     indices = []
     for i in range(1, max_depth + 1):
         big = 1 << (i + 2)

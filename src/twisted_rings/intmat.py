@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -43,58 +42,11 @@ def mat_pow(a: list[list[int]], e: int) -> list[list[int]]:
     return result
 
 
-def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | None]:
-    """Determinant d of mat and the integer vector y with mat * y = d * rhs.
-
-    One fraction-free (Bareiss) elimination of [mat | rhs], then back
-    substitution.  d * mat^-1 * rhs is integral (Cramer's rule), so every
-    division is exact.  y is None when mat is singular; the input is not
-    modified.
-    """
-    n = len(mat)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, None
-        row_k = m[k]
-        pivot = row_k[k]
-        tail_k = row_k[k + 1 :]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            if mik:
-                row_i[k + 1 :] = [
-                    (pivot * a - mik * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
-                ]
-                row_i[k] = 0
-            elif pivot != prev:
-                # a zero multiplier only rescales the row; pivot / prev need
-                # not be integral, but pivot * a / prev is (Bareiss)
-                row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
-        prev = pivot
-    # row i now reads sum_j m[i][j] x_j = m[i][n] for the solution x of the
-    # permuted system, whose determinant is prev
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        y[i] = (prev * row[n] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))) // row[i]
-    return sign * prev, [sign * v for v in y]
-
-
 def det_bareiss(mat: list[list[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    All intermediate values stay integral; the input is not modified.  The
-    program uses det_solve; this and solve_exact are the reference routines
-    it is tested against.
+    All intermediate values stay integral; the input is not modified.  With
+    solve_exact, the reference that the tests check det_solve against.
     """
     n = len(mat)
     if n == 0:

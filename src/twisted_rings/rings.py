@@ -18,9 +18,9 @@ polynomial of L_x by Newton's identities; its constant term is
 cyclotomic polynomials Phi_k as that polynomial and the lcm L of those k
 as its order, and the unit has finite order exactly when x^L = 1 in the
 component.  The bounded scan of small supports decides each distinct
-component image of its candidates once.  ``is_unit``, which returns the
-inverse, eliminates the regular representation instead; ``is_unit_coords``
-answers for callers that never read the inverse.
+component image of its candidates once.  ``is_unit`` reads the inverse
+off the same polynomial by Cayley-Hamilton; ``is_unit_coords`` answers for
+callers that never read the inverse.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .cyclotomic import (
 )
 from .errors import CAPS, CapExceededError, exact_int
 from .groups import FiniteGroup, centralizer, element_order, subgroup_as_group
-from .intmat import det_solve
 
 
 @lru_cache(maxsize=None)
@@ -457,10 +456,10 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
 
     On a ring with components, x is a unit exactly when every component
     image is, and x^-1 is rebuilt from their inverses by one exact division
-    by |N|.  Otherwise one fraction-free elimination of [A | e_1], A the
-    regular representation, gives det A and det A * A^-1 e_1; x is a unit
-    exactly when det A = +-1, and then that column, times det A, holds the
-    coordinates of x^-1.  Either way x x^-1 = x^-1 x = 1 is checked.
+    by |N|.  Otherwise x is a unit exactly when the constant term f_0 of
+    the Newton polynomial f of L_x is +-1, and then x^-1 = -f_0 (x^(n-1) +
+    f_(n-1) x^(n-2) + ... + f_1) by Cayley-Hamilton, the bracket by Horner's
+    rule.  Either way x x^-1 = x^-1 x = 1 is checked.
     """
     ring = x.ring
     xs = x.coords()
@@ -477,11 +476,14 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
             raise ArithmeticError("component inverses do not lift to the ring")
         inv = ring.from_coords([v // n for v in total])
     else:
-        mat = _rep_matrix(ring, xs)
-        d, col = det_solve(mat, _one_coords(len(mat)))
-        if d not in (1, -1):
+        f = _charpoly(ring, xs)
+        if f[0] not in (1, -1):
             return None
-        inv = ring.from_coords([d * v for v in col])
+        phi, acc = PHI_DEGREE[ring.conductor], _one_coords(ring.dim)
+        for fk in f[-2:0:-1]:
+            acc = _tw_mul(ring, _coord_list(acc, phi), xs)
+            acc[0] += fk
+        inv = ring.from_coords([-f[0] * v for v in acc])
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv

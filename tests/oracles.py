@@ -2,8 +2,10 @@
 unchanged from when the library carried them.
 
 ``charpoly`` and ``matrix_order`` decide a torsion order on the whole
-integer matrix (Berkowitz's polynomial, then a matrix power), the route
-the library's matrix-free unit and order tests replaced;
+integer matrix (Berkowitz's polynomial, then a matrix power), and
+``det_solve`` gives its determinant d and d mat^-1 rhs by one
+fraction-free elimination: the routes the library's matrix-free unit,
+order and inverse tests replaced;
 ``enumerate_units_bounded`` is the exhaustive unit search;
 ``reduced_words`` lists the free words one at a time, as the round-trip
 audit walked them before it certified each word from its parent;
@@ -73,6 +75,52 @@ def matrix_order(mat: list[list[int]], cap: Optional[int] = None) -> Optional[in
     if mat_pow(mat, order) != identity_matrix(len(mat)):
         return None
     return order
+
+
+def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | None]:
+    """Determinant d of mat and the integer vector y with mat * y = d * rhs.
+
+    One fraction-free (Bareiss) elimination of [mat | rhs], then back
+    substitution.  d * mat^-1 * rhs is integral (Cramer's rule), so every
+    division is exact.  y is None when mat is singular; the input is not
+    modified.
+    """
+    n = len(mat)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        row_k = m[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1 :]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            mik = row_i[k]
+            if mik:
+                row_i[k + 1 :] = [
+                    (pivot * a - mik * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
+                ]
+                row_i[k] = 0
+            elif pivot != prev:
+                # a zero multiplier only rescales the row; pivot / prev need
+                # not be integral, but pivot * a / prev is (Bareiss)
+                row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
+        prev = pivot
+    # row i now reads sum_j m[i][j] x_j = m[i][n] for the solution x of the
+    # permuted system, whose determinant is prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = (prev * row[n] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))) // row[i]
+    return sign * prev, [sign * v for v in y]
 
 
 def enumerate_units_bounded(

@@ -26,8 +26,7 @@ from twisted_rings.groups import (
     elementary_abelian_2,
     quaternion8,
 )
-from oracles import matrix_order
-from twisted_rings.intmat import det_solve
+from oracles import det_solve, matrix_order
 from twisted_rings import extensions, rings
 from twisted_rings.rings import (
     TwElement,
@@ -66,6 +65,7 @@ def _group_ring(group, conductor: int) -> TwRing:
 
 C2 = elementary_abelian_2(1)
 C2C2 = elementary_abelian_2(2)
+C3 = cyclic(3)
 C4 = cyclic(4)
 C2C4 = direct_product(cyclic(2), cyclic(4))
 
@@ -94,6 +94,11 @@ RINGS = {
     # no central involution along which the twist is inflated: the base case
     "quaternion": (lambda: quaternion_twist_ring(2), 1),
     "quaternion c=4": (lambda: quaternion_twist_ring(4), 1),
+    # leaves of dim 16 at conductors 8 and 12, and an odd order with no
+    # central involution at all
+    "quaternion c=8": (lambda: quaternion_twist_ring(8), 1),
+    "quaternion c=12": (lambda: quaternion_twist_ring(12), 1),
+    "Z[C3]": (lambda: _group_ring(C3, 1), 1),
 }
 
 
@@ -294,7 +299,7 @@ def test_a_ring_with_a_corrupted_component_refuses_to_decompose(monkeypatch):
 
 def test_is_unit_still_verifies_the_inverse_it_returns(monkeypatch):
     ring = ring_named("d8 source n=1")
-    ring.components  # certified before the lift is corrupted
+    is_unit(ring.basis(3))  # certifies the whole tree before the lift is corrupted
     lift_sum = rings._lift_sum
 
     def corrupted(psis, parts):
@@ -306,3 +311,20 @@ def test_is_unit_still_verifies_the_inverse_it_returns(monkeypatch):
     with pytest.raises(ArithmeticError, match="inverse verification failed"):
         is_unit(ring.basis(3))
     assert is_unit_coords(ring, ring.basis(3).coords())
+
+
+def test_is_unit_verifies_the_leaf_inverse_it_reads_off_the_polynomial(monkeypatch):
+    # a wrong coefficient with the constant term kept at +-1: the unit verdict
+    # stands, and the Cayley-Hamilton inverse must fail its check
+    ring = ring_named("quaternion c=8")
+    assert ring.components == ()
+    charpoly = rings._charpoly
+
+    def corrupted(leaf, xs):
+        f = charpoly(leaf, xs)
+        f[1] += 1
+        return f
+
+    monkeypatch.setattr(rings, "_charpoly", corrupted)
+    with pytest.raises(ArithmeticError, match="inverse verification failed"):
+        is_unit(ring.basis(1))

@@ -223,6 +223,13 @@ def test_congruence_cap():
         congruence_index(5)
 
 
+def test_depth_audit_cap():
+    # the ceiling itself still runs: its residue tables have 2^18 entries
+    assert depth_index_audit(16).depth_indices == (8,) * 16
+    with pytest.raises(CapExceededError):
+        depth_index_audit(17)
+
+
 def test_nielsen_schreier_values():
     assert nielsen_schreier(3, 8) == 17
     assert nielsen_schreier(5, 1) == 5

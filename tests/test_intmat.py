@@ -3,10 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly, matrix_order
+from oracles import charpoly, det_solve, matrix_order
 from twisted_rings.intmat import (
     det_bareiss,
-    det_solve,
     identity_matrix,
     mat_mul,
     solve_exact,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly, matrix_order
+from oracles import charpoly, det_solve, matrix_order
 from test_components import RINGS, elements, ring_named
 from twisted_rings import rings
 from twisted_rings.cocycles import trivial_cocycle
@@ -28,7 +28,6 @@ from twisted_rings.cyclotomic import (
 )
 from twisted_rings.d8_case import build_d8_psi
 from twisted_rings.groups import elementary_abelian_2
-from twisted_rings.intmat import det_solve
 from twisted_rings.rings import (
     TwRing,
     _charpoly,

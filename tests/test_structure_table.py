@@ -34,7 +34,8 @@ from twisted_rings.groups import (
     quaternion8,
     subgroup_closure,
 )
-from twisted_rings.intmat import det_bareiss, det_solve, solve_exact
+from oracles import det_solve
+from twisted_rings.intmat import det_bareiss, solve_exact
 from twisted_rings.rings import TwElement, TwRing, quaternion_twist_ring, regular_rep
 from twisted_rings.units import decide_finiteness
 
