@@ -109,12 +109,19 @@ def _in_range(value: Optional[int], lo: int, hi: Optional[int], flag: str) -> in
     return value
 
 
-def _load_ring(spec: dict) -> rings.TwRing:
-    """The ring of a JSON spec; its twist must be a normalized cocycle, so
-    that u_1 is the identity."""
-    c = _load_cocycle(spec["cocycle"] if "cocycle" in spec else spec)
+def _load_normalized_cocycle(spec: dict) -> cocycles.Cocycle:
+    """The cocycle of a JSON spec, refused unless it is a normalized cocycle:
+    a ring takes u_1 as its identity, and the coboundary search fixes
+    f(1) = 0."""
+    c = _load_cocycle(spec)
     if not (report := cocycles.validate_cocycle(c)).ok:
         raise ValueError(report.message)
+    return c
+
+
+def _load_ring(spec: dict) -> rings.TwRing:
+    """The ring of a JSON spec, twisted by a normalized cocycle."""
+    c = _load_normalized_cocycle(spec["cocycle"] if "cocycle" in spec else spec)
     conductor = exact_int(spec.get("conductor", max(2, c.modulus)), "conductor")
     if conductor > (cap := CAPS.get().conductor):
         raise CapExceededError(f"conductor {conductor} exceeds cap {cap}")
@@ -135,7 +142,8 @@ def _cmd_group_validate(args, report: Report) -> None:
 
 
 def _cmd_cocycle(args, report: Report) -> None:
-    c = _load_cocycle(_load_json_arg(args.file))
+    load = _load_normalized_cocycle if args.action == "cohomologous" else _load_cocycle
+    c = load(_load_json_arg(args.file))
     if args.action == "validate":
         rep = cocycles.validate_cocycle(c)
         report.add(
@@ -167,7 +175,7 @@ def _cmd_cocycle(args, report: Report) -> None:
             )
         )
     elif args.action == "cohomologous":
-        other = _load_cocycle(_load_json_arg(args.other))
+        other = _load_normalized_cocycle(_load_json_arg(args.other))
         witness = cocycles.are_cohomologous(c, other, args.modulus)
         report.add(
             check(

@@ -158,13 +158,15 @@ def are_cohomologous(
     space = modulus ** (n - 1)
     if space > cap:
         raise CapExceededError(f"coboundary search space {space} exceeds cap {cap}")
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    for tail in itertools.product(range(modulus), repeat=n - 1):
-        f = (0,) + tail
-        if all(
-            (f[a] + f[b] - f[g.mul[a][b]] + t1[a][b] - t2[a][b]) % modulus == 0
-            for a, b in pairs
-        ):
+    # f twists t1 into t2 when f(a) + f(b) - f(ab) + t1(a, b) - t2(a, b) = 0 mod m
+    checks = [
+        (a, b, g.mul[a][b], (t1[a][b] - t2[a][b]) % modulus) for a in range(n) for b in range(n)
+    ]
+    for f in itertools.product((0,), *[range(modulus)] * (n - 1)):
+        for a, b, ab, d in checks:
+            if (f[a] + f[b] - f[ab] + d) % modulus:
+                break
+        else:
             return f
     return None
 

@@ -161,7 +161,10 @@ class TwRing:
         phi = PHI_DEGREE[self.conductor]
         vec = [0] * self.dim
         for g, v in mapping.items():
-            vec[g * phi : (g + 1) * phi] = self.coerce_coeff(v).coeffs
+            if isinstance(v, int):
+                vec[g * phi] = int(v)
+            else:
+                vec[g * phi : (g + 1) * phi] = self.coerce_coeff(v).coeffs
         return self.from_coords(vec)
 
     def from_int_vector(self, vec: Sequence[int]) -> "TwElement":
@@ -458,8 +461,8 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
     image is, and x^-1 is rebuilt from their inverses by one exact division
     by |N|.  Otherwise x is a unit exactly when the constant term f_0 of
     the Newton polynomial f of L_x is +-1, and then x^-1 = -f_0 (x^(n-1) +
-    f_(n-1) x^(n-2) + ... + f_1) by Cayley-Hamilton, the bracket by Horner's
-    rule.  Either way x x^-1 = x^-1 x = 1 is checked.
+    f_(n-1) x^(n-2) + ... + f_1) by Cayley-Hamilton, from the powers of x
+    that made f.  Either way x x^-1 = x^-1 x = 1 is checked.
     """
     ring = x.ring
     xs = x.coords()
@@ -476,14 +479,11 @@ def is_unit(x: TwElement) -> Optional[TwElement]:
             raise ArithmeticError("component inverses do not lift to the ring")
         inv = ring.from_coords([v // n for v in total])
     else:
-        f = _charpoly(ring, xs)
+        f, powers = _charpoly_with_powers(ring, xs)
         if f[0] not in (1, -1):
             return None
-        phi, acc = PHI_DEGREE[ring.conductor], _one_coords(ring.dim)
-        for fk in f[-2:0:-1]:
-            acc = _tw_mul(ring, _coord_list(acc, phi), xs)
-            acc[0] += fk
-        inv = ring.from_coords([-f[0] * v for v in acc])
+        # coordinate by coordinate, -f_0 sum_(k=1..n) f_k x^(k-1)
+        inv = ring.from_coords([-f[0] * sum(map(mul, f[1:], c)) for c in zip(*powers)])
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv
@@ -501,7 +501,13 @@ def _traces(conductor: int) -> tuple[int, ...]:
 
 
 def _charpoly(ring: TwRing, xs) -> list[int]:
-    """det(t I - L_x), ascending coefficients, for x with coordinate list xs.
+    """det(t I - L_x), ascending coefficients, for x with coordinate list xs."""
+    return _charpoly_with_powers(ring, xs)[0]
+
+
+def _charpoly_with_powers(ring: TwRing, xs) -> tuple[list[int], list[list[int]]]:
+    """det(t I - L_x), ascending coefficients, for x with coordinate list xs,
+    and the flat coordinates of the powers x^0, ..., x^(n-1) that made it.
 
     The power sums p_k = tr L_x^k = |G| Tr((x^k)_1) of the eigenvalues fix
     the coefficients f_k of t^(n-k) by Newton's identities
@@ -509,17 +515,19 @@ def _charpoly(ring: TwRing, xs) -> list[int]:
     """
     n, phi, order = ring.dim, PHI_DEGREE[ring.conductor], ring.group.order
     traces = _traces(ring.conductor)
-    power = _one_coords(n)
+    powers = [_one_coords(n)]
     p: list[int] = []
     f = [1]
     for k in range(1, n + 1):
-        power = _tw_mul(ring, _coord_list(power, phi), xs)
+        power = _tw_mul(ring, _coord_list(powers[-1], phi), xs)
         p.append(order * sum(map(mul, power, traces)))
         fk, rest = divmod(-sum(map(mul, p, reversed(f))), k)
         if rest:
             raise ArithmeticError("power sums do not give an integer polynomial")
         f.append(fk)
-    return f[::-1]
+        if k < n:
+            powers.append(power)
+    return f[::-1], powers
 
 
 def _power(ring: TwRing, xs, e: int) -> list[int]:
@@ -770,10 +778,12 @@ def berman_higman_violations(
     unit (+- a root of unity times u_1).
     """
     bad = []
+    phi = PHI_DEGREE[ring.conductor]
     for x in torsion_units_bounded(ring, coeff_values, support_cap):
-        c1 = x.coeff(0)
-        if c1.is_zero():
+        block = x.vec[:phi]
+        if not any(block):
             continue
+        c1 = CycInt(ring.conductor, block)
         if len(x.support()) == 1 and is_root_of_unity(c1) is not None:
             continue
         bad.append(x)

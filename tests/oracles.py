@@ -10,8 +10,11 @@ order and inverse tests replaced;
 ``reduced_words`` lists the free words one at a time, as the round-trip
 audit walked them before it certified each word from its parent;
 ``CycTupleElement`` is the ring element as it was stored before it held flat
-integer coordinates, one ``CycInt`` per group element; the other three are
-small conveniences over the library's own constructions.
+integer coordinates, one ``CycInt`` per group element;
+``cohomologous_by_generator`` is the coboundary search as it was before it
+read its pairs into a list of checks, one generator over the pairs per map;
+the other three are small conveniences over the library's own
+constructions.
 """
 
 from __future__ import annotations
@@ -121,6 +124,41 @@ def det_solve(mat: list[list[int]], rhs: list[int]) -> tuple[int, list[int] | No
         row = m[i]
         y[i] = (prev * row[n] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))) // row[i]
     return sign * prev, [sign * v for v in y]
+
+
+def cohomologous_by_generator(
+    c1: Cocycle,
+    c2: Cocycle,
+    modulus: int,
+    cap: Optional[int] = None,
+) -> Optional[tuple[int, ...]]:
+    """Exhaustively search for f with twist(c1, f) = c2 over mu_modulus.
+
+    Returns the first witness in lexicographic order, or None; because the
+    search is exhaustive, None proves the classes differ at this modulus.
+    """
+    if cap is None:
+        cap = CAPS.get().coboundary
+    if c1.group is not c2.group and c1.group != c2.group:
+        raise ValueError("cocycles live on different groups")
+    g = c1.group
+    n = g.order
+    if modulus % c1.modulus or modulus % c2.modulus:
+        raise ValueError("value moduli do not divide the search modulus")
+    t1 = c1.rescaled(modulus).table
+    t2 = c2.rescaled(modulus).table
+    space = modulus ** (n - 1)
+    if space > cap:
+        raise CapExceededError(f"coboundary search space {space} exceeds cap {cap}")
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    for tail in itertools.product(range(modulus), repeat=n - 1):
+        f = (0,) + tail
+        if all(
+            (f[a] + f[b] - f[g.mul[a][b]] + t1[a][b] - t2[a][b]) % modulus == 0
+            for a, b in pairs
+        ):
+            return f
+    return None
 
 
 def enumerate_units_bounded(

@@ -1,6 +1,6 @@
 import json
 
-from twisted_rings.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, run
+from twisted_rings.cli import EXIT_CAP, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, run
 
 QUAT_RING = '{"cocycle": {"builtin": "quaternion"}, "conductor": 2}'
 MODEL_RING = '{"cocycle": {"builtin": "c2c2_matrix"}, "conductor": 2}'
@@ -90,6 +90,34 @@ def test_coboundary_cap_exits_3(capsys):
         ["cocycle", "cohomologous", big, "--other", big, "--modulus", "4"],
     )
     assert code == EXIT_CAP
+
+
+def _cocycle_spec(preset: str, params: list, m: int, table: list) -> str:
+    return json.dumps({"group": {"preset": preset, "params": params}, "m": m, "table": table})
+
+
+def test_cohomologous_refuses_tables_that_are_not_normalized_cocycles(capsys):
+    # the identity fails on (1, 1, 2): not a cocycle at all
+    not_cocycle = _cocycle_spec("cyclic", [3], 3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    zero_c3 = _cocycle_spec("cyclic", [3], 3, [[0] * 3] * 3)
+    # the coboundary of the constant map 1, which a search with f(1) = 0 misses
+    not_normalized = _cocycle_spec("cyclic", [2], 2, [[1, 1], [1, 1]])
+    zero_c2 = _cocycle_spec("cyclic", [2], 2, [[0, 0], [0, 0]])
+    for first, other, m, message in [
+        (not_cocycle, zero_c3, "3", "cocycle identity fails on triple (1,1,2)"),
+        (zero_c3, not_cocycle, "3", "cocycle identity fails on triple (1,1,2)"),
+        (not_normalized, zero_c2, "2", "table is not normalized"),
+        (zero_c2, not_normalized, "2", "table is not normalized"),
+    ]:
+        code = run(["--json", "cocycle", "cohomologous", first, "--other", other, "--modulus", m])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert message in captured.err
+    # validate still reports on any table, and refutes these two
+    for table in (not_cocycle, not_normalized):
+        assert run(["cocycle", "validate", table]) == EXIT_REFUTED
+        capsys.readouterr()
 
 
 def test_ring_unit_and_scan(capsys):
