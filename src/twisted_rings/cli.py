@@ -208,8 +208,9 @@ def _cmd_ring(args, report: Report) -> None:
         x = rings.element_from_json(ring, _load_json_arg(args.x))
         report.add(check("torsion order", True, rings.torsion_order(x)))
     elif args.action == "scan":
+        # --support 0 sets no cap: supports of every size up to |G|
         bad = rings.berman_higman_violations(
-            ring, support_cap=args.support if args.support > 0 else None
+            ring, support_cap=_in_range(args.support, 0, None, "--support") or None
         )
         report.add(
             check(
@@ -274,7 +275,8 @@ def _cmd_ext(args, report: Report) -> None:
                 )
             )
     elif args.action == "components":
-        entries = extensions.component_table(ext, field_conductor=args.conductor)
+        conductor = _in_range(args.conductor, 1, None, "--conductor")
+        entries = extensions.component_table(ext, field_conductor=conductor)
         report.add(
             check(
                 "component table",
@@ -348,7 +350,9 @@ def _cmd_tower(args, report: Report) -> None:
     else:
         base = rings.anticommuting_ring(0)
     _in_range(args.n, 1, None, "--n")
-    if args.action != "scan":
+    if args.action == "scan":
+        _in_range(args.samples, 1, None, "--samples")
+    else:
         _in_range(args.level, 1, args.n, "--level")
     ctx = tower.build_tower(base, args.n)
     rng = random.Random(args.seed)

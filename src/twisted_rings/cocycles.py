@@ -142,8 +142,11 @@ def are_cohomologous(
 ) -> Optional[tuple[int, ...]]:
     """Exhaustively search for f with twist(c1, f) = c2 over mu_modulus.
 
-    Returns the first witness in lexicographic order, or None; because the
-    search is exhaustive, None proves the classes differ at this modulus.
+    Returns the first witness in lexicographic order, or None.  The search
+    fixes f(1) = 0 and is exhaustive over the rest, so for two normalized
+    cocycles None proves the classes differ at this modulus; for a table
+    that is not a normalized cocycle, which is not checked here, None
+    proves nothing.
     """
     if cap is None:
         cap = CAPS.get().coboundary

@@ -5,8 +5,10 @@ isomorphically onto the parity-conditioned matrices
 {(a b; c d) : a = d, b = c mod 2}.  The images of v = 1 + u_h - u_gh and
 w = 1 + u_h + u_gh are (1 0; 2 1) and (1 2; 0 1), generators of a free
 rank-2 subgroup of GL2(Z); every unit of the ring factors uniquely as a
-trivial unit times a word in them.  That normal form powers exact index
-computations in the unit group and the mod-2^k congruence audits.
+trivial unit times a word in them, so the unit group is T x| F with T the
+8 trivial units and F free on v and w.  A subgroup H = T_H x| H_F then has
+index [T : T_H] * [F : H_F], the latter read off H_F's folded Stallings
+graph; the mod-2^k congruence audits count residues.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import CAPS, CapExceededError
 from .rings import TwElement, TwRing
 
 PEEL_STEP_CAP = 64
-COSET_CAP = 4096
 _LETTERS = (("V", 1), ("V", -1), ("W", 1), ("W", -1))
 
 
@@ -85,9 +86,9 @@ def model_ring(conductor: int = 2) -> TwRing:
 
 
 def _require_model_ring(ring: TwRing) -> None:
-    if ring.group.order != 4 or ring.cocycle.rescaled(
-        max(2, ring.cocycle.modulus)
-    ).table != _MODEL.rescaled(max(2, ring.cocycle.modulus)).table:
+    """Refuse every ring but the model ring: its cocycle is the matrix-model
+    table itself, at modulus 2."""
+    if ring.cocycle != _MODEL:
         raise ValueError("ring is not the anticommuting C2 x C2 model ring")
 
 
@@ -401,7 +402,7 @@ class StallingsGraph:
 
 
 # ---------------------------------------------------------------------------
-# coset enumeration in the unit group
+# subgroups of the unit group and their index
 
 
 @dataclass(frozen=True)
@@ -457,46 +458,19 @@ class IndexAudit:
     index: Optional[int]
 
 
-def unit_index_audit(
-    generators: Sequence[TwElement],
-    ring: TwRing,
-    coset_cap: int = COSET_CAP,
-) -> IndexAudit:
-    """Index of the subgroup generated by given units inside U(model ring).
+def unit_index_audit(generators: Sequence[TwElement], ring: TwRing) -> IndexAudit:
+    """Index of the subgroup H generated by given units inside U(model ring).
 
     Every generator is put into the (trivial unit) * (free word) normal
-    form; cosets are enumerated by right multiplication with the ambient
-    generators, comparing cosets through the subgroup's membership oracle.
+    form, which builds H as T_H x| H_F.  Since U = T x| F with |T| = 8,
+    [U : H] = [T : T_H] * [F : H_F]; the second factor is the vertex count
+    of H_F's folded Stallings graph when it is complete, and the index is
+    None (infinite) when it is not.
     """
     _require_model_ring(ring)
-    nfs = [factor_unit(u) for u in generators]
-    sub = subgroup_from_generators(nfs)
-    ambient = [
-        UnitNF(-1, 0, SanovWord(())),
-        UnitNF(1, 1, SanovWord(())),
-        UnitNF(1, 2, SanovWord(())),
-        UnitNF(1, 0, SanovWord((("V", 1),))),
-        UnitNF(1, 0, SanovWord((("W", 1),))),
-    ]
-    reps: list[UnitNF] = [UnitNF(1, 0, SanovWord(()))]
-    queue = [reps[0]]
-    while queue:
-        current = queue.pop(0)
-        for gen in ambient:
-            candidate = current * gen
-            if len(candidate.word) > 3 * PEEL_STEP_CAP:
-                raise CapExceededError("coset word length exploded")
-            is_new = True
-            for rep in reps:
-                if sub.contains(candidate * rep.inverse()):
-                    is_new = False
-                    break
-            if is_new:
-                reps.append(candidate)
-                queue.append(candidate)
-                if len(reps) > coset_cap:
-                    return IndexAudit(index=None)
-    return IndexAudit(index=len(reps))
+    sub = subgroup_from_generators([factor_unit(u) for u in generators])
+    free = sub.graph.free_index()
+    return IndexAudit(None if free is None else 8 // len(sub.trivial_part) * free)
 
 
 def nielsen_schreier(rank: int, index: int) -> int:
@@ -642,20 +616,17 @@ def depth_index_audit(max_depth: int = 3) -> DepthIndexAudit:
     if max_depth > 16:
         raise CapExceededError("congruence depth audit capped at depth 16 (mod 2^18)")
     indices = []
+    sandwich = []
     for i in range(1, max_depth + 1):
         big = 1 << (i + 2)
         c_i = count_depth_units_mod(i, big)
         c_next = count_depth_units_mod(i + 1, big)
+        gamma_i = _det_pm1(_det_residue_counts(i, big))
         if c_i % c_next:
             raise ArithmeticError("containment of congruence sets failed")
-        indices.append(c_i // c_next)
-    sandwich = []
-    for i in range(1, max_depth + 1):
-        big = 1 << (i + 2)
-        gamma_i = _det_pm1(_det_residue_counts(i, big))
-        c_i = count_depth_units_mod(i, big)
         if gamma_i % c_i:
             raise ArithmeticError("parity subgroup does not divide the level")
+        indices.append(c_i // c_next)
         sandwich.append(gamma_i // c_i)
     ranks = [3]
     for depth, idx in enumerate(indices, start=1):

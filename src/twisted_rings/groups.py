@@ -317,13 +317,6 @@ def centralizer(g: FiniteGroup, x: int) -> frozenset[int]:
     return frozenset(y for y in g.elements() if g.mul[y][x] == g.mul[x][y])
 
 
-def center(g: FiniteGroup) -> frozenset[int]:
-    zs = set(g.elements())
-    for x in g.elements():
-        zs &= centralizer(g, x)
-    return frozenset(zs)
-
-
 def conjugate(g: FiniteGroup, x: int, by: int) -> int:
     """x^by = by^-1 * x * by."""
     return g.mul[g.mul[g.inv[by]][x]][by]
@@ -513,14 +506,6 @@ def validate_section(s: Section) -> None:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def group_to_json(g: FiniteGroup) -> dict:
-    return {
-        "order": g.order,
-        "mul": [list(row) for row in g.mul],
-        "labels": list(g.labels),
-    }
-
 
 def group_from_json(data: dict) -> FiniteGroup:
     if "preset" in data:

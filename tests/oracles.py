@@ -13,7 +13,10 @@ audit walked them before it certified each word from its parent;
 integer coordinates, one ``CycInt`` per group element;
 ``cohomologous_by_generator`` is the coboundary search as it was before it
 read its pairs into a list of checks, one generator over the pairs per map;
-the other three are small conveniences over the library's own
+``unit_index_by_cosets`` is the unit-group index by breadth-first coset
+enumeration, which the index read off the normal form T x| F replaced;
+``center`` and ``group_to_json`` are group routines that only the tests
+use; the other three are small conveniences over the library's own
 constructions.
 """
 
@@ -28,8 +31,18 @@ from typing import Iterator, Optional, Sequence
 from twisted_rings.cocycles import Cocycle, LinearCharacter, build_G_alpha
 from twisted_rings.cyclotomic import CycInt, cyclotomic_factors
 from twisted_rings.errors import CAPS, CapExceededError
-from twisted_rings.gl2 import _BASIS_IMAGES, SanovWord, UnitNF, phi_model_inverse
-from twisted_rings.groups import order_histogram
+from twisted_rings.gl2 import (
+    _BASIS_IMAGES,
+    PEEL_STEP_CAP,
+    IndexAudit,
+    SanovWord,
+    UnitNF,
+    _require_model_ring,
+    factor_unit,
+    phi_model_inverse,
+    subgroup_from_generators,
+)
+from twisted_rings.groups import FiniteGroup, centralizer, order_histogram
 from twisted_rings.intmat import identity_matrix, mat_pow
 from twisted_rings.rings import TwElement, TwRing, is_unit
 
@@ -247,6 +260,63 @@ def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:
 
 def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
     return order_histogram(build_G_alpha(c).group)
+
+
+def center(g: FiniteGroup) -> frozenset[int]:
+    zs = set(g.elements())
+    for x in g.elements():
+        zs &= centralizer(g, x)
+    return frozenset(zs)
+
+
+def group_to_json(g: FiniteGroup) -> dict:
+    return {
+        "order": g.order,
+        "mul": [list(row) for row in g.mul],
+        "labels": list(g.labels),
+    }
+
+
+def unit_index_by_cosets(
+    generators: Sequence[TwElement],
+    ring: TwRing,
+    coset_cap: int = 4096,
+) -> IndexAudit:
+    """Index of the subgroup generated by given units inside U(model ring).
+
+    Every generator is put into the (trivial unit) * (free word) normal
+    form; cosets are enumerated by right multiplication with the ambient
+    generators, comparing cosets through the subgroup's membership oracle.
+    """
+    _require_model_ring(ring)
+    nfs = [factor_unit(u) for u in generators]
+    sub = subgroup_from_generators(nfs)
+    ambient = [
+        UnitNF(-1, 0, SanovWord(())),
+        UnitNF(1, 1, SanovWord(())),
+        UnitNF(1, 2, SanovWord(())),
+        UnitNF(1, 0, SanovWord((("V", 1),))),
+        UnitNF(1, 0, SanovWord((("W", 1),))),
+    ]
+    reps: list[UnitNF] = [UnitNF(1, 0, SanovWord(()))]
+    queue = [reps[0]]
+    while queue:
+        current = queue.pop(0)
+        for gen in ambient:
+            candidate = current * gen
+            if len(candidate.word) > 3 * PEEL_STEP_CAP:
+                raise CapExceededError("coset word length exploded")
+            is_new = True
+            for rep in reps:
+                if sub.contains(candidate * rep.inverse()):
+                    is_new = False
+                    break
+            if is_new:
+                reps.append(candidate)
+                queue.append(candidate)
+                if len(reps) > coset_cap:
+                    return IndexAudit(index=None)
+    return IndexAudit(index=len(reps))
 
 
 @dataclass(frozen=True)

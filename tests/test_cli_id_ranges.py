@@ -2,7 +2,11 @@
 of range exits with the usage code and a one-line error, not a traceback
 and not the refuted-claim code.  A negative --chi no longer picks a
 character from the end of the list, and ``case congruence`` no longer
-reports verified items over empty lists for --i < 1 or --depth < 0."""
+reports verified items over empty lists for --i < 1 or --depth < 0.
+Likewise ``tower scan`` refuses --samples < 1 instead of verifying a split
+on no units, ``ext components`` refuses --conductor < 1 instead of a
+traceback or the refuted-claim code, and ``ring scan`` refuses
+--support < 0 instead of reading it as no cap."""
 
 import json
 
@@ -45,10 +49,17 @@ def test_out_of_range_ids_exit_2_without_a_traceback(capsys, argv):
         (["case", "congruence", "--i", "0"], "--i"),
         (["case", "congruence", "--i", "-1"], "--i"),
         (["case", "congruence", "--depth", "-2"], "--depth"),
+        (["tower", "scan", "--samples", "0"], "--samples"),
+        (["tower", "scan", "--samples", "-5"], "--samples"),
+        (["ext", "components", D8, "--normal", "0", "2", "--conductor", "0"], "--conductor"),
+        (["ext", "components", D8, "--normal", "0", "2", "--conductor", "-4"], "--conductor"),
+        (["ring", "scan", QUAT_RING, "--support", "-1"], "--support"),
     ],
     ids=[
         "bicyclic without g", "tower n 0", "d8 n -1", "obstruct n -1",
         "congruence i 0", "congruence i -1", "congruence depth -2",
+        "scan samples 0", "scan samples -5", "components conductor 0",
+        "components conductor -4", "ring support -1",
     ],
 )
 def test_bad_counts_and_missing_ids_exit_2_naming_the_flag(capsys, argv, flag):

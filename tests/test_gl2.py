@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import reduced_words, unit_from_nf
+from oracles import reduced_words, unit_from_nf, unit_index_by_cosets
 from twisted_rings.errors import CapExceededError
 from twisted_rings.gl2 import (
     I2,
@@ -185,6 +187,43 @@ def test_unit_index_audit_cases(ring, vw):
     assert unit_index_audit(trivials + [v, w], ring).index == 1
     image_gens = trivials + [v * v, w * w, w * is_unit(v)]
     assert unit_index_audit(image_gens, ring).index == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trivial_ids=st.lists(st.integers(0, 7), unique=True),
+    words=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), max_size=3),
+)
+# words index v, w, v^-1, w^-1; each example has a free part of index 2:
+# the even words with every trivial unit, and the words of even w-degree
+@example(trivial_ids=list(range(8)), words=[[0, 0], [1, 1], [0, 3]])
+@example(trivial_ids=[], words=[[0], [1, 1], [1, 0, 3]])
+def test_unit_index_agrees_with_coset_enumeration(ring, vw, trivial_ids, words):
+    # the index read off T x| F against breadth-first coset enumeration
+    v, w = vw
+    letters = (v, w, is_unit(v), is_unit(w))
+    trivials = [ring.basis(g, s) for g in range(4) for s in (1, -1)]
+    gens = [trivials[i] for i in trivial_ids]
+    for word in words:
+        unit = ring.one()
+        for k in word:
+            unit = unit * letters[k]
+        gens.append(unit)
+    index = unit_index_audit(gens, ring).index
+    by_cosets = unit_index_by_cosets(gens, ring, coset_cap=64).index
+    if by_cosets is None:
+        assert index is None or index > 64
+    else:
+        assert index == by_cosets
+
+
+def test_mixed_generators_need_every_trivial_unit(ring, vw):
+    v, _ = vw
+    gens = [ring.basis(1) * v, ring.basis(0, -1)]
+    with pytest.raises(ValueError):
+        unit_index_audit(gens, ring)
+    with pytest.raises(ValueError):
+        unit_index_by_cosets(gens, ring)
 
 
 def test_depth_filtration_maps_into_matrix_congruence(ring, vw):

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import group_to_json
 from twisted_rings.groups import (
     all_subgroups,
     build_group,
@@ -13,7 +14,6 @@ from twisted_rings.groups import (
     elementary_abelian_2,
     exponent,
     group_from_json,
-    group_to_json,
     hom_from_gen_images,
     is_abelian,
     is_dedekind,

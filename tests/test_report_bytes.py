@@ -57,6 +57,10 @@ CASES = [
         ["tower", "scan", "--samples", "5"],
         "e11e892ea7423c12f9c41941f8400a295e1176dc8b1ca241376dfd2ea9f63836",
     ),
+    (  # the depth audit at its cap, mod 2^18
+        ["case", "congruence", "--i", "4", "--depth", "16"],
+        "55919aefa5878e65e04d21dd05c368ca2d5741c77f60012bfe8848cd1b6b013e",
+    ),
 ]
 
 

@@ -26,7 +26,6 @@ from twisted_rings.cocycles import (
 from twisted_rings.cyclotomic import PHI_DEGREE, SUPPORTED_CONDUCTORS, CycInt, root_to_cyc
 from twisted_rings.extensions import apply_psi, build_extension, build_psi, lin_characters
 from twisted_rings.groups import (
-    center,
     cyclic,
     dihedral8,
     direct_product,
@@ -34,7 +33,7 @@ from twisted_rings.groups import (
     quaternion8,
     subgroup_closure,
 )
-from oracles import det_solve
+from oracles import center, det_solve
 from twisted_rings.intmat import det_bareiss, solve_exact
 from twisted_rings.rings import TwElement, TwRing, quaternion_twist_ring, regular_rep
 from twisted_rings.units import decide_finiteness
