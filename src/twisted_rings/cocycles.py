@@ -19,7 +19,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     build_group,
-    element_order,
     elementary_abelian_2,
     subgroup_as_group,
 )
@@ -30,7 +29,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Cocycle:
-    """Normalized 2-cocycle on a finite group, valued in mu_m."""
+    """2-cocycle table on a finite group, valued in mu_m.  The constructor
+    checks shape and range only; validate_cocycle is the edge check."""
 
     group: FiniteGroup
     modulus: int
@@ -257,9 +257,6 @@ def validate_character(chi: LinearCharacter) -> None:
         for b in g.elements():
             if (chi.values[a] + chi.values[b] - chi.values[g.mul[a][b]]) % m:
                 raise ValueError(f"character not multiplicative at ({a},{b})")
-    for a in g.elements():
-        if element_order(g, a) % exponent_order(m, chi.values[a]):
-            raise ValueError(f"character value order at {a} does not divide o({a})")
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +267,14 @@ def transgress(ext: "ExtensionData", chi: LinearCharacter) -> Cocycle:
     """Compose the extension's factor set with an invariant character of N.
 
     The result is the 2-cocycle (g, h) -> chi(mu(g) mu(h) mu(gh)^-1) on the
-    quotient group.  chi must be invariant under the conjugation action of
-    the quotient; central N always qualifies.
+    quotient group.  chi is checked to be a homomorphism invariant under the
+    conjugation action of the quotient (central N always qualifies); then
+    alpha(g,h) alpha(gh,k) = ^g alpha(h,k) alpha(g,hk) in Gamma makes the
+    table a cocycle, and mu(1) = 1 makes it normalized, unchecked.
     """
     if chi.group != ext.sub_group:
         raise ValueError("character is not defined on the extension kernel")
+    validate_character(chi)
     for gid, perm in enumerate(ext.sigma):
         for n in range(ext.sub_group.order):
             if chi.values[perm[n]] != chi.values[n]:
@@ -286,11 +286,7 @@ def transgress(ext: "ExtensionData", chi: LinearCharacter) -> Cocycle:
         tuple(chi.values[ext.alpha_sub[a][b]] for b in g.elements())
         for a in g.elements()
     )
-    out = Cocycle(g, chi.modulus, table)
-    report = validate_cocycle(out)
-    if not report.ok:
-        raise ValueError(f"transgressed table is not a valid cocycle: {report.message}")
-    return out
+    return Cocycle(g, chi.modulus, table)
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,8 @@ def sanov_membership(mat: IntMat2, step_cap: int = PEEL_STEP_CAP) -> Optional[Sa
     """Recover the unique reduced word evaluating to mat, if one exists.
 
     Greedy peeling: repeatedly strip the rightmost letter whose removal
-    strictly decreases the maximum absolute entry; the recovered word is
-    re-evaluated before being returned, so false positives are impossible.
+    strictly decreases the maximum absolute entry.  Each strip is an exact
+    column operation, so a word peeled down to the identity evaluates to mat.
     """
     if mat.det() not in (1, -1):
         raise ValueError("matrix is not invertible over Z")
@@ -194,10 +194,7 @@ def sanov_membership(mat: IntMat2, step_cap: int = PEEL_STEP_CAP) -> Optional[Sa
     peeled: list[tuple[str, int]] = []
     for _ in range(step_cap):
         if entries == (1, 0, 0, 1):
-            word = SanovWord(tuple(reversed(peeled)))
-            if word.evaluate() != mat:
-                raise ArithmeticError("peeled word fails to re-evaluate")
-            return word
+            return SanovWord(tuple(reversed(peeled)))
         step = _peel_step(*entries)
         if step is None:
             return None
@@ -295,16 +292,19 @@ class UnitNF:
 
 
 def factor_unit(x: TwElement) -> UnitNF:
-    """Factor a unit of the model ring as (trivial unit) * (free word)."""
+    """Factor a unit of the model ring as (trivial unit) * (free word).  A
+    peel step lowers the largest absolute entry, which t^-1 keeps and which
+    is 1 at the identity, so that many steps peel any word."""
     mat = phi_model(x)
     if mat.det() not in (1, -1):
         raise ValueError("element is not a unit")
+    step_cap = max(map(abs, mat.entries()))
     for gamma in range(4):
         for sign in (1, -1):
             t = _BASIS_IMAGES[gamma]
             if sign == -1:
                 t = -t
-            word = sanov_membership(t.inverse() * mat)
+            word = sanov_membership(t.inverse() * mat, step_cap)
             if word is not None:
                 return UnitNF(sign=sign, gamma=gamma, word=word)
     raise ValueError("unit does not factor over the model normal form")

@@ -460,7 +460,10 @@ def subgroup_as_group(
 def hom_from_gen_images(
     source: FiniteGroup, target: FiniteGroup, images: dict[int, int]
 ) -> GroupHom:
-    """Extend generator images to a full homomorphism table (and check it)."""
+    """Extend generator images to a full homomorphism table.
+
+    The walk checks f(x s) = f(x) t_s for every x and generator s, with
+    f(1) = 1, so f is multiplicative by induction on word length."""
     table: dict[int, int] = {0: 0}
     frontier = [0]
     pairs = list(images.items())
@@ -477,18 +480,7 @@ def hom_from_gen_images(
                 frontier.append(y)
     if len(table) != source.order:
         raise ValueError("images do not generate the source group")
-    hom = GroupHom(source, target, tuple(table[x] for x in source.elements()))
-    validate_hom(hom)
-    return hom
-
-
-def validate_hom(h: GroupHom) -> None:
-    if h.map[0] != 0:
-        raise ValueError("homomorphism does not fix the identity")
-    for x in h.source.elements():
-        for y in h.source.elements():
-            if h.map[h.source.mul[x][y]] != h.target.mul[h.map[x]][h.map[y]]:
-                raise ValueError(f"multiplicativity fails at ({x},{y})")
+    return GroupHom(source, target, tuple(table[x] for x in source.elements()))
 
 
 def validate_section(s: Section) -> None:

@@ -457,36 +457,40 @@ def _certify_components(ring: TwRing, psis) -> None:
 def is_unit(x: TwElement) -> Optional[TwElement]:
     """Return the inverse when x is a unit of the Z-order, else None.
 
-    On a ring with components, x is a unit exactly when every component
-    image is, and x^-1 is rebuilt from their inverses by one exact division
-    by |N|.  Otherwise x is a unit exactly when the constant term f_0 of
-    the Newton polynomial f of L_x is +-1, and then x^-1 = -f_0 (x^(n-1) +
-    f_(n-1) x^(n-2) + ... + f_1) by Cayley-Hamilton, from the powers of x
-    that made f.  Either way x x^-1 = x^-1 x = 1 is checked.
-    """
+    _inverse_coords builds it unchecked; x x^-1 = x^-1 x = 1 is checked
+    once, here, and certifies it."""
     ring = x.ring
-    xs = x.coords()
-    if ring.components:
-        parts = []
-        for psi in ring.components:
-            part = is_unit(psi.target.from_coords(psi.image_coords(xs)))
-            if part is None:
-                return None
-            parts.append(part)
-        n = len(ring.components)
-        total = _lift_sum(ring.components, [part.coords() for part in parts])
-        if any(v % n for v in total):
-            raise ArithmeticError("component inverses do not lift to the ring")
-        inv = ring.from_coords([v // n for v in total])
-    else:
-        f, powers = _charpoly_with_powers(ring, xs)
-        if f[0] not in (1, -1):
-            return None
-        # coordinate by coordinate, -f_0 sum_(k=1..n) f_k x^(k-1)
-        inv = ring.from_coords([-f[0] * sum(map(mul, f[1:], c)) for c in zip(*powers)])
+    if (flat := _inverse_coords(ring, x.coords())) is None:
+        return None
+    inv = ring.from_coords(flat)
     if x * inv != ring.one() or inv * x != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv
+
+
+def _inverse_coords(ring: TwRing, xs) -> Optional[list[int]]:
+    """Flat coordinates of x^-1 for x with coordinate list xs, unchecked, or
+    None when x is not a unit.  On a ring with components, x is a unit exactly when every component
+    image is, and x^-1 is rebuilt from their inverses by one division by
+    |N|.  Otherwise x is a unit exactly when the constant term f_0 of the
+    Newton polynomial f of L_x is +-1, and then x^-1 = -f_0 (x^(n-1) +
+    f_(n-1) x^(n-2) + ... + f_1) by Cayley-Hamilton, from the powers of x
+    that made f.
+    """
+    if ring.components:
+        parts = []
+        for psi in ring.components:
+            phi = PHI_DEGREE[psi.target.conductor]
+            part = _inverse_coords(psi.target, _coord_list(psi.image_coords(xs), phi))
+            if part is None:
+                return None
+            parts.append(_coord_list(part, phi))
+        return [v // len(parts) for v in _lift_sum(ring.components, parts)]
+    f, powers = _charpoly_with_powers(ring, xs)
+    if f[0] not in (1, -1):
+        return None
+    # coordinate by coordinate, -f_0 sum_(k=1..n) f_k x^(k-1)
+    return [-f[0] * sum(map(mul, f[1:], c)) for c in zip(*powers)]
 
 
 @lru_cache(maxsize=None)

@@ -152,7 +152,8 @@ def twisted_bicyclic(spec: BicyclicSpec) -> TwElement:
     Requires u_g^o(g) = 1 (so the cyclic sum is a nonzero idempotent
     multiple), b supported on C_g^-, and even o(g) whenever b != 0; the
     telescoping identity (o(g) - s_g) b s_g = o(g) b s_g makes the division
-    by o(g) integral and is verified exactly.
+    by o(g) integral and is verified exactly.  The increment e is checked
+    square-zero, so (1 + e)(1 - e) = 1 - e^2 = 1 needs no check.
     """
     ring = spec.ring
     g = spec.g
@@ -179,8 +180,6 @@ def twisted_bicyclic(spec: BicyclicSpec) -> TwElement:
     out = ring.one() + increment
     if increment * increment != ring.zero():
         raise ArithmeticError("bicyclic increment is not square-zero")
-    if out * (ring.one() - increment) != ring.one():
-        raise ArithmeticError("bicyclic unit inverse verification failed")
     return out
 
 

@@ -15,6 +15,8 @@ integer coordinates, one ``CycInt`` per group element;
 read its pairs into a list of checks, one generator over the pairs per map;
 ``unit_index_by_cosets`` is the unit-group index by breadth-first coset
 enumeration, which the index read off the normal form T x| F replaced;
+``validate_hom`` is the pass over every pair that ``hom_from_gen_images``
+made before its generator walk was taken as the proof;
 ``center`` and ``group_to_json`` are group routines that only the tests
 use; the other three are small conveniences over the library's own
 constructions.
@@ -42,7 +44,7 @@ from twisted_rings.gl2 import (
     phi_model_inverse,
     subgroup_from_generators,
 )
-from twisted_rings.groups import FiniteGroup, centralizer, order_histogram
+from twisted_rings.groups import FiniteGroup, GroupHom, centralizer, order_histogram
 from twisted_rings.intmat import identity_matrix, mat_pow
 from twisted_rings.rings import TwElement, TwRing, is_unit
 
@@ -260,6 +262,15 @@ def unit_from_nf(ring: TwRing, nf: UnitNF) -> TwElement:
 
 def g_alpha_order_histogram(c: Cocycle) -> dict[int, int]:
     return order_histogram(build_G_alpha(c).group)
+
+
+def validate_hom(h: GroupHom) -> None:
+    if h.map[0] != 0:
+        raise ValueError("homomorphism does not fix the identity")
+    for x in h.source.elements():
+        for y in h.source.elements():
+            if h.map[h.source.mul[x][y]] != h.target.mul[h.map[x]][h.map[y]]:
+                raise ValueError(f"multiplicativity fails at ({x},{y})")
 
 
 def center(g: FiniteGroup) -> frozenset[int]:

@@ -6,7 +6,10 @@ reports verified items over empty lists for --i < 1 or --depth < 0.
 Likewise ``tower scan`` refuses --samples < 1 instead of verifying a split
 on no units, ``ext components`` refuses --conductor < 1 instead of a
 traceback or the refuted-claim code, and ``ring scan`` refuses
---support < 0 instead of reading it as no cap."""
+--support < 0 instead of reading it as no cap.  ``ext`` refuses
+--chi-modulus < 1 and ``cocycle cohomologous`` refuses --modulus < 1, in
+place of a ZeroDivisionError traceback under the refuted-claim code or an
+error that names another flag or the cocycle table."""
 
 import json
 
@@ -16,6 +19,10 @@ from twisted_rings.cli import EXIT_CAP, EXIT_USAGE, run
 
 D8 = json.dumps({"preset": "dihedral8"})
 QUAT_RING = json.dumps({"cocycle": {"builtin": "quaternion"}, "conductor": 2})
+C2 = json.dumps({"preset": "cyclic", "params": [2]})
+C4 = json.dumps({"preset": "cyclic", "params": [4]})
+MATRIX = json.dumps({"builtin": "c2c2_matrix"})
+QUAT = json.dumps({"builtin": "quaternion"})
 
 
 @pytest.mark.parametrize(
@@ -77,3 +84,21 @@ def test_a_congruence_depth_above_its_ceiling_is_refused_before_it_allocates(cap
     assert code == EXIT_CAP
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "depth 16" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ext", "psi", C2, "--normal", "0", "--chi-modulus", "0"], "--chi-modulus"),
+        (["ext", "psi", C4, "--normal", "0", "2", "--chi-modulus", "-2"], "--chi-modulus"),
+        (["cocycle", "cohomologous", MATRIX, "--other", QUAT, "--modulus", "0"], "--modulus"),
+        (["cocycle", "cohomologous", MATRIX, "--other", QUAT, "--modulus", "-4"], "--modulus"),
+    ],
+    ids=["chi-modulus 0", "chi-modulus -2", "modulus 0", "modulus -4"],
+)
+def test_moduli_below_1_exit_2_naming_the_flag(capsys, argv, flag):
+    code = run(["--json", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and "Traceback" not in captured.err

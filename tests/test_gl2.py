@@ -371,3 +371,23 @@ def test_normal_form_arithmetic_mirrors_the_ring(ring, vw):
         nf = factor_unit(x)
         assert (nf * nf.inverse()).is_identity()
         assert unit_from_nf(ring, nf.inverse()) == is_unit(x)
+
+
+def test_factor_unit_peels_words_longer_than_the_default_step_cap(ring, vw):
+    v, w = vw
+    cases = [
+        (v**64, 1, 0, SanovWord((("V", 1),) * 64)),
+        (v**65, 1, 0, SanovWord((("V", 1),) * 65)),
+        ((w * v) ** 40, 1, 0, SanovWord((("W", 1), ("V", 1)) * 40)),
+        (-ring.basis(3) * (v * w) ** 33, -1, 3, SanovWord((("V", 1), ("W", 1)) * 33)),
+    ]
+    for x, sign, gamma, word in cases:
+        nf = factor_unit(x)
+        assert (nf.sign, nf.gamma, nf.word) == (sign, gamma, word)
+        assert unit_from_nf(ring, nf) == x
+
+
+def test_unit_index_audit_takes_a_generator_of_word_length_64(ring, vw):
+    v, w = vw
+    trivials = [ring.basis(g, s) for g in range(4) for s in (1, -1)]
+    assert unit_index_audit(trivials + [v**64, w], ring).index == 1

@@ -19,6 +19,9 @@ V = json.dumps(
     {"coeffs": [{"g": 0, "m": 2, "c": [1]}, {"g": 2, "m": 2, "c": [1]}, {"g": 3, "m": 2, "c": [-1]}]}
 )
 D8 = json.dumps({"preset": "dihedral8"})
+A1 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 1}, "conductor": 2})
+A4 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 4}, "conductor": 2})
+C10 = json.dumps({"preset": "cyclic", "params": [10]})
 
 CASES = [
     (
@@ -60,6 +63,26 @@ CASES = [
     (  # the depth audit at its cap, mod 2^18
         ["case", "congruence", "--i", "4", "--depth", "16"],
         "55919aefa5878e65e04d21dd05c368ca2d5741c77f60012bfe8848cd1b6b013e",
+    ),
+    (
+        ["units", "bicyclic", A1, "--g", "1", "--h", "2"],
+        "bf615b7b0722ab0d6e0e83f49dcc22b514c43aa812cff302be7d7f2af98fa258",
+    ),
+    (
+        ["units", "finiteness", A1],
+        "4cedb98459db80688299d730e5910853604e27000a41de3be0278eff8304ed7f",
+    ),
+    (
+        ["ext", "kernel", C10, "--normal", "0", "5", "--chi", "1"],
+        "a3d37c17b0c00ab6f978db295990f0dc6ec1156df886f3c0018468104c80d0fa",
+    ),
+    (
+        ["ext", "components", D8, "--normal", "0", "2"],
+        "c16dc4cb2945640efcabe28ee8925dc6905589795eb47d89b574b37beb3195ab",
+    ),
+    (
+        ["ring", "unit", A4, "--x", V],
+        "6e7af37b9e8cfac256e5ab56eb68eedf028d791be77d5187564fd4d8a2f3ce95",
     ),
 ]
 
