@@ -38,7 +38,7 @@ from .groups import (
     subgroup_as_group,
     validate_section,
 )
-from .rings import TwElement, TwRing, unit_order_coords
+from .rings import TwElement, TwRing, is_torsion_unit_coords
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,11 @@ def kernel_torsion_scan(
     with coefficients from coeff_values) whose sum is 1 on the identity fibre
     and 0 on every other fibre, joins patterns from distinct fibres into
     elements of support <= support_cap, and returns those that map to 1 and
-    are torsion units.
+    are torsion units.  The n eigenvalues of L_x on a component of
+    dimension n for a torsion unit x are roots of unity, so each power sum
+    p_k = tr L_x^k has |p_k| <= n, and the first p_k past n refutes x with
+    no further product (rings.is_torsion_unit_coords); each distinct
+    component image is decided once per scan.
 
     The result lists exactly the elements a search over every support and
     coefficient tuple would keep, in its order: by support size, then by
@@ -395,10 +399,10 @@ def kernel_torsion_scan(
 
     # each key joins one pattern per fibre it meets, so its image is 1
     found = []
+    verdicts: dict = {}
     for _, support, idx in keys:
         coeffs = [coeff_values[i] for i in idx]
-        unit, order = unit_order_coords(src, [(g, 0, v) for g, v in zip(support, coeffs)])
-        if unit and order is not None:
+        if is_torsion_unit_coords(src, [(g, 0, v) for g, v in zip(support, coeffs)], verdicts):
             found.append(src.element(dict(zip(support, coeffs))))
     return found
 

@@ -17,8 +17,11 @@ polynomial of L_x by Newton's identities; its constant term is
 (-1)^n det L_x.  By Kronecker, a unit of finite order has a product of
 cyclotomic polynomials Phi_k as that polynomial and the lcm L of those k
 as its order, and the unit has finite order exactly when x^L = 1 in the
-component.  The bounded scan of small supports decides each distinct
-component image of its candidates once.  ``is_unit`` reads the inverse
+component.  The scans ask only whether x is a unit of finite order: then
+the n eigenvalues of L_x are roots of unity, so |p_k| <= n for the power
+sums p_k = tr L_x^k, and the first p_k past n refutes x, unit or not, with
+no further product.  They decide each distinct component image of their
+candidates once.  ``is_unit`` reads the inverse
 off the same polynomial by Cayley-Hamilton; ``is_unit_coords`` answers for
 callers that never read the inverse.
 """
@@ -509,9 +512,12 @@ def _charpoly(ring: TwRing, xs) -> list[int]:
     return _charpoly_with_powers(ring, xs)[0]
 
 
-def _charpoly_with_powers(ring: TwRing, xs) -> tuple[list[int], list[list[int]]]:
+def _charpoly_with_powers(
+    ring: TwRing, xs, bound: Optional[int] = None
+) -> Optional[tuple[list[int], list[list[int]]]]:
     """det(t I - L_x), ascending coefficients, for x with coordinate list xs,
-    and the flat coordinates of the powers x^0, ..., x^(n-1) that made it.
+    and the flat coordinates of the powers x^0, ..., x^(n-1) that made it;
+    None as soon as a power sum exceeds bound in absolute value.
 
     The power sums p_k = tr L_x^k = |G| Tr((x^k)_1) of the eigenvalues fix
     the coefficients f_k of t^(n-k) by Newton's identities
@@ -525,6 +531,8 @@ def _charpoly_with_powers(ring: TwRing, xs) -> tuple[list[int], list[list[int]]]
     for k in range(1, n + 1):
         power = _tw_mul(ring, _coord_list(powers[-1], phi), xs)
         p.append(order * sum(map(mul, power, traces)))
+        if bound is not None and abs(p[-1]) > bound:
+            return None
         fk, rest = divmod(-sum(map(mul, p, reversed(f))), k)
         if rest:
             raise ArithmeticError("power sums do not give an integer polynomial")
@@ -593,10 +601,10 @@ def _unit_order(
     """unit_order_coords, with the characteristic polynomial and the order
     of each leaf image looked up in polys and orders by (leaf position,
     image) and stored there.  Every leaf's constant term is read before any
-    order is computed.  A scan passes the same tables, and one cap, for all
-    its candidates, so each distinct image is decided once."""
+    order is computed.  Calls that pass the same tables, and one cap,
+    decide each distinct image once; the scans use is_torsion_unit_coords."""
     if not ring.components:
-        # the ring is its own only leaf, and a scan never repeats a candidate
+        # the ring is its own only leaf, so a key would be a whole element
         polys, orders = {}, {}
     leaves = _unit_leaves(ring, xs, polys)
     if leaves is None:
@@ -610,6 +618,43 @@ def _unit_order(
         found.append(orders[key])
     order = lcm(*found)
     return True, order if cap is None or order <= cap else None
+
+
+def _torsion_leaf(ring: TwRing, xs) -> bool:
+    """Whether x, with coordinate list xs, is a unit of finite order in a
+    ring without components.
+
+    The n = dim eigenvalues of L_x for such an x are roots of unity, so
+    every power sum has |p_k| <= n, and the first p_k past n refutes x,
+    unit or not.  An x within the bound for k = 1..n is decided as
+    unit_order_coords decides it: constant term +-1, then _leaf_order.
+    """
+    found = _charpoly_with_powers(ring, xs, ring.dim)
+    if found is None or found[0][0] not in (1, -1):
+        return False
+    return _leaf_order(ring, xs, found[0], None) is not None
+
+
+def is_torsion_unit_coords(ring: TwRing, xs, verdicts: dict) -> bool:
+    """Whether the element with coordinate list xs is a unit of finite
+    order, with the verdict on each leaf image looked up in verdicts by
+    (leaf position, image) and stored there.  A scan passes one table for
+    all its candidates, so each distinct image is decided once.
+
+    The certified components make x a unit of finite order exactly when
+    every leaf image is one: det L_x is the product of the leaf
+    determinants, and x^L = 1 exactly when every image has x^L = 1.
+    """
+    if not ring.components:
+        # the ring is its own only leaf, and a scan never repeats a candidate
+        return _torsion_leaf(ring, xs)
+    for i, (leaf, ys) in enumerate(_leaves(ring, xs)):
+        key = (i, tuple(ys))
+        if key not in verdicts:
+            verdicts[key] = _torsion_leaf(leaf, ys)
+        if not verdicts[key]:
+            return False
+    return True
 
 
 def unit_order_coords(
@@ -760,12 +805,9 @@ def torsion_units_bounded(
     )
     if count > (cap := CAPS.get().scan_candidates):
         raise CapExceededError(f"scan of {count} candidates exceeds cap {cap}")
-    polys: dict = {}
-    orders: dict = {}
+    verdicts: dict = {}
     for support, coeffs in _small_supports(ring, nonzero, max_support):
-        xs = [(g, 0, v) for g, v in zip(support, coeffs)]
-        unit, order = _unit_order(ring, xs, None, polys, orders)
-        if unit and order is not None:
+        if is_torsion_unit_coords(ring, [(g, 0, v) for g, v in zip(support, coeffs)], verdicts):
             out.append(ring.element(dict(zip(support, coeffs))))
     return out
 
