@@ -305,21 +305,6 @@ class RootOfUnity:
     def order(self) -> int:
         return self.m // gcd(self.m, self.k) if self.k else 1
 
-    def to_cyc(self, conductor: int | None = None) -> CycInt:
-        _check_conductor(self.m)
-        z = CycInt.zeta(self.m, self.k)
-        if conductor is not None:
-            z = z.embed(conductor)
-        return z
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        m = lcm(self.m, other.m)
-        k = (self.k * (m // self.m) + other.k * (m // other.m)) % m
-        return RootOfUnity(m, k)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.m, (-self.k) % self.m)
-
     def to_json(self) -> dict:
         return {"m": self.m, "k": self.k}
 

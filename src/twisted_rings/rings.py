@@ -21,7 +21,8 @@ component.  The scans ask only whether x is a unit of finite order: then
 the n eigenvalues of L_x are roots of unity, so |p_k| <= n for the power
 sums p_k = tr L_x^k, and the first p_k past n refutes x, unit or not, with
 no further product.  They decide each distinct component image of their
-candidates once.  ``is_unit`` reads the inverse
+candidates once, in a per-leaf verdict table that only the scans share;
+``unit_order`` keeps nothing between calls.  ``is_unit`` reads the inverse
 off the same polynomial by Cayley-Hamilton; ``is_unit_coords`` answers for
 callers that never read the inverse.
 """
@@ -568,22 +569,6 @@ def _leaf_order(ring: TwRing, xs, poly: list[int], cap: Optional[int]) -> Option
     return order if _power(ring, xs, order) == _one_coords(ring.dim) else None
 
 
-def _unit_leaves(ring: TwRing, xs, polys: dict) -> Optional[list]:
-    """(key, leaf, image) for the image of xs in each leaf ring, with the
-    characteristic polynomial of that image looked up in polys by key =
-    (leaf position, image) and stored there; None as soon as one leaf
-    determinant, the constant term up to sign, is not +-1."""
-    leaves = []
-    for i, (leaf, ys) in enumerate(_leaves(ring, xs)):
-        key = (i, tuple(ys))
-        if key not in polys:
-            polys[key] = _charpoly(leaf, ys)
-        if polys[key][0] not in (1, -1):
-            return None
-        leaves.append((key, leaf, ys))
-    return leaves
-
-
 def is_unit_coords(ring: TwRing, xs) -> bool:
     """Whether the element with coordinate list xs (as TwElement.coords) is
     a unit, without building its inverse.
@@ -592,32 +577,7 @@ def is_unit_coords(ring: TwRing, xs) -> bool:
     det L_x the product of the leaf determinants, which are integers, so x
     is a unit exactly when every leaf determinant is +-1.
     """
-    return _unit_leaves(ring, xs, {}) is not None
-
-
-def _unit_order(
-    ring: TwRing, xs, cap: Optional[int], polys: dict, orders: dict
-) -> tuple[bool, Optional[int]]:
-    """unit_order_coords, with the characteristic polynomial and the order
-    of each leaf image looked up in polys and orders by (leaf position,
-    image) and stored there.  Every leaf's constant term is read before any
-    order is computed.  Calls that pass the same tables, and one cap,
-    decide each distinct image once; the scans use is_torsion_unit_coords."""
-    if not ring.components:
-        # the ring is its own only leaf, so a key would be a whole element
-        polys, orders = {}, {}
-    leaves = _unit_leaves(ring, xs, polys)
-    if leaves is None:
-        return False, None
-    found = []
-    for key, leaf, ys in leaves:
-        if key not in orders:
-            orders[key] = _leaf_order(leaf, ys, polys[key], cap)
-        if orders[key] is None:
-            return True, None
-        found.append(orders[key])
-    order = lcm(*found)
-    return True, order if cap is None or order <= cap else None
+    return all(_charpoly(leaf, ys)[0] in (1, -1) for leaf, ys in _leaves(ring, xs))
 
 
 def _torsion_leaf(ring: TwRing, xs) -> bool:
@@ -664,9 +624,22 @@ def unit_order_coords(
 
     No matrix is built: each component image is decided by its Newton
     polynomial and one power, as the module docstring sets out, and the
-    order of the element is the lcm of the component orders.
+    order of the element is the lcm of the component orders.  Every leaf's
+    constant term is read before any order is computed.
     """
-    return _unit_order(ring, xs, cap, {}, {})
+    leaves = []
+    for leaf, ys in _leaves(ring, xs):
+        poly = _charpoly(leaf, ys)
+        if poly[0] not in (1, -1):
+            return False, None
+        leaves.append((leaf, ys, poly))
+    orders = []
+    for leaf, ys, poly in leaves:
+        if (order := _leaf_order(leaf, ys, poly, cap)) is None:
+            return True, None
+        orders.append(order)
+    order = lcm(*orders)
+    return True, order if cap is None or order <= cap else None
 
 
 def unit_order(x: TwElement, cap: Optional[int] = None) -> tuple[bool, Optional[int]]:

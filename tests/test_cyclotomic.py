@@ -144,10 +144,8 @@ def test_root_recognition_matches_brute_force():
 
 
 def test_root_of_unity_multiplication():
-    a = RootOfUnity(4, 1)
-    b = RootOfUnity(6, 1)
-    assert (a * b).to_cyc() == CycInt.zeta(12, 5)
-    assert a.inverse().to_cyc(4) == CycInt.zeta(4, 3)
+    assert root_to_cyc(4, 1, 12) * root_to_cyc(6, 1, 12) == CycInt.zeta(12, 5)
+    assert root_to_cyc(4, -1, 4) == CycInt.zeta(4, 3)
 
 
 def test_root_to_cyc_handles_minus_one_in_z():

@@ -26,7 +26,6 @@ from twisted_rings.cyclotomic import (
     cyclotomic_factors,
     galois_apply,
 )
-from twisted_rings.d8_case import build_d8_psi
 from twisted_rings.groups import elementary_abelian_2
 from twisted_rings.rings import (
     TwRing,
@@ -214,35 +213,17 @@ def test_the_shared_tables_change_no_scan_result(monkeypatch):
         if _is_torsion_unit(ring, support, coeffs)
     ]
     decided = []
-    charpoly_in_ring = rings._charpoly
+    torsion_leaf = rings._torsion_leaf
 
     def counted(*args):
         decided.append(args)
-        return charpoly_in_ring(*args)
+        return torsion_leaf(*args)
 
-    monkeypatch.setattr(rings, "_charpoly", counted)
+    monkeypatch.setattr(rings, "_torsion_leaf", counted)
     assert torsion_units_bounded(ring, (-1, 0, 1), 4) == fresh
     # every candidate has two leaf images, and most repeat an earlier one
     candidates = sum(1 for _ in _small_supports(ring, (-1, 1), 4))
     assert len(decided) < candidates
-
-
-@pytest.mark.parametrize("conductor", (4, 8))
-def test_a_ring_without_components_stores_nothing(conductor):
-    # the ring is its own only leaf, so every key would be a new candidate
-    ring = quaternion_twist_ring(conductor)
-    assert not ring.components
-    polys: dict = {}
-    orders: dict = {}
-    fresh = []
-    for support, coeffs in _small_supports(ring, (-1, 1), 2):
-        xs = [(g, 0, v) for g, v in zip(support, coeffs)]
-        verdict = rings._unit_order(ring, xs, None, polys, orders)
-        assert verdict == unit_order_coords(ring, xs)
-        if verdict[0] and verdict[1] is not None:
-            fresh.append(ring.element(dict(zip(support, coeffs))))
-    assert not polys and not orders
-    assert torsion_units_bounded(ring, (-1, 0, 1), 2) == fresh
 
 
 def test_no_order_is_computed_for_a_non_unit(monkeypatch):
@@ -266,20 +247,3 @@ def test_no_order_is_computed_for_a_non_unit(monkeypatch):
         first_leaf_a_unit += _charpoly(leaf, ys)[0] in (1, -1)
     # the first leaf alone would have let an order be computed
     assert first_leaf_a_unit
-
-
-def test_each_stored_entry_is_that_of_its_own_leaf():
-    # the d8 source at n = 1 has leaves of dims 1 and 4, so an image may
-    # recur at another leaf position, in another ring
-    ring = build_d8_psi(1).source
-    leaves = [leaf for leaf, _ in _leaves(ring, ring.one().coords())]
-    polys: dict = {}
-    orders: dict = {}
-    for support, coeffs in _small_supports(ring, (-1, 1), 2):
-        rings._unit_order(ring, [(g, 0, v) for g, v in zip(support, coeffs)], None, polys, orders)
-    assert len({leaf.dim for leaf in leaves}) > 1 and orders
-    for (i, ys), poly in polys.items():
-        assert poly == _charpoly(leaves[i], list(ys))
-    for (i, ys), order in orders.items():
-        assert polys[i, ys][0] in (1, -1)
-        assert order == rings._leaf_order(leaves[i], list(ys), polys[i, ys], None)
