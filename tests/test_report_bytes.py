@@ -22,6 +22,7 @@ D8 = json.dumps({"preset": "dihedral8"})
 A1 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 1}, "conductor": 2})
 A4 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 4}, "conductor": 2})
 C10 = json.dumps({"preset": "cyclic", "params": [10]})
+DP = json.dumps({"preset": "direct_product", "params": [4, 2]})
 
 CASES = [
     (
@@ -83,6 +84,26 @@ CASES = [
     (
         ["ring", "unit", A4, "--x", V],
         "6e7af37b9e8cfac256e5ab56eb68eedf028d791be77d5187564fd4d8a2f3ce95",
+    ),
+    (  # G_alpha of a builtin twist, and of a twist inflated from C2 x C2
+        ["cocycle", "galpha", QUAT_COCYCLE],
+        "1378912b99262a8383511198af8fb7cf4a4c99509bc4497878d9443beb24be6d",
+    ),
+    (
+        ["cocycle", "galpha", json.dumps({"builtin": "anticommuting", "n": 1})],
+        "c0a660468b2d6e317245251b89fe639884ad5d2da4aedd934e740808eb50095a",
+    ),
+    (  # a product preset, its quotient and its components
+        ["ext", "build", DP, "--normal", "0", "4"],
+        "24d8e8791e3174684683fac5f244b3faf899e8cdf5ca0e21b0ec3f999e0b39d4",
+    ),
+    (
+        ["ext", "components", DP, "--normal", "0", "4", "--conductor", "4"],
+        "511cd75c761c8abab053ce21a3ee26f63c8fef040e329b27c13b71933c4090f0",
+    ),
+    (
+        ["ext", "psi", D8, "--normal", "0", "2", "--chi", "1"],
+        "86464b29d935a415bd908b23316eaee86eea92ac96c886bff95769716b7d8eef",
     ),
 ]
 
