@@ -142,7 +142,7 @@ def _cmd_group_validate(args, report: Report) -> None:
 
 
 def _cmd_cocycle(args, report: Report) -> None:
-    load = _load_normalized_cocycle if args.action == "cohomologous" else _load_cocycle
+    load = _load_cocycle if args.action in ("validate", "order") else _load_normalized_cocycle
     c = load(_load_json_arg(args.file))
     if args.action == "validate":
         rep = cocycles.validate_cocycle(c)

@@ -18,7 +18,8 @@ from .errors import CAPS, CapExceededError
 from .groups import (
     FiniteGroup,
     GroupHom,
-    build_group,
+    _check_order,
+    _package,
     elementary_abelian_2,
     subgroup_as_group,
 )
@@ -307,13 +308,14 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
 
     Its order is o * |G| where o is the order of the subgroup of mu_m
     generated by the table values; the projection zeta^i u_g -> g is a
-    homomorphism with central kernel.
+    homomorphism with central kernel.  A normalized cocycle (checked at the
+    edge) makes this table a central extension, a group by construction.
     """
     g = c.group
     o = cocycle_order(c)
     step = c.modulus // o
     n = g.order
-    total = o * n
+    _check_order(total := o * n)
 
     def encode(i: int, x: int) -> int:
         return (i % o) * n + x
@@ -331,7 +333,7 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
     labels = [
         (f"z^{e // n}*" if e >= n else "") + f"u[{g.labels[e % n]}]" for e in range(total)
     ]
-    ga = build_group(mul, labels, name=f"G_alpha({g.name})")
+    ga = _package(mul, labels, f"G_alpha({g.name})")
     proj = GroupHom(source=ga, target=g, map=tuple(e % n for e in range(total)))
     return GAlpha(group=ga, value_order=o, projection=proj)
 

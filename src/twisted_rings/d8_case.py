@@ -270,7 +270,6 @@ def d8_case_study(n: int) -> D8CaseStudy:
             class_reps[frozenset(subset)] = tgt.one() + z * a_part
     certified = 0
     certified_kernel_side = 0
-    failures = []
     for subset, rep in class_reps.items():
         if not subset:
             continue
@@ -279,8 +278,6 @@ def d8_case_study(n: int) -> D8CaseStudy:
             certified += 1
             if 0 not in subset:  # built from 1 - x_i multipliers only
                 certified_kernel_side += 1
-        else:
-            failures.append(subset)
     ratio_failures = []
     keys = sorted(class_reps, key=sorted)
     inverses = {s: is_unit(class_reps[s]) for s in keys[1:]}

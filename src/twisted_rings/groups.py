@@ -78,8 +78,7 @@ def build_group(
     n = len(mul)
     if n == 0:
         raise ValueError("empty multiplication table")
-    if n > (cap := CAPS.get().group_order):
-        raise CapExceededError(f"group order {n} exceeds cap {cap}")
+    _check_order(n)
     table = []
     for i, row in enumerate(mul):
         if len(row) != n:
@@ -93,13 +92,8 @@ def build_group(
     for x in range(n):
         if tab[0][x] != x or tab[x][0] != x:
             raise ValueError("element 0 is not a two-sided identity")
-    inverse = [-1] * n
     for x in range(n):
-        for y in range(n):
-            if tab[x][y] == 0 and tab[y][x] == 0:
-                inverse[x] = y
-                break
-        if inverse[x] < 0:
+        if not any(tab[x][y] == 0 and tab[y][x] == 0 for y in range(n)):
             raise ValueError(f"element {x} has no two-sided inverse")
     triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
     for a, b, c in triples:
@@ -107,18 +101,30 @@ def build_group(
             raise ValueError(f"associativity fails on ({a},{b},{c})")
     if labels is None:
         labels = tuple(f"e{i}" for i in range(n))
-    else:
-        if len(labels) != n:
-            raise ValueError("labels length does not match order")
-        labels = tuple(str(s) for s in labels)
-    return FiniteGroup(
-        order=n,
-        mul=tab,
-        inv=tuple(inverse),
-        labels=labels,
-        name=name,
-        generators=dict(generators or {}),
-    )
+    elif len(labels) != n:
+        raise ValueError("labels length does not match order")
+    return _package(tab, [str(s) for s in labels], name, generators)
+
+
+def _package(
+    mul: Sequence[Sequence[int]],
+    labels: Sequence[str],
+    name: str,
+    generators: Optional[dict[str, int]] = None,
+) -> FiniteGroup:
+    """Package a table that is a group by construction; only the order cap is
+    checked.  Each inverse is read off its row: x y = 1 exactly when y x = 1
+    in a group."""
+    _check_order(len(mul))
+    tab = tuple(map(tuple, mul))
+    inv = tuple(row.index(0) for row in tab)
+    return FiniteGroup(len(tab), tab, inv, tuple(labels), name, dict(generators or {}))
+
+
+def _check_order(n: int, what: str = "group") -> None:
+    """Refuse an order over the cap before any table of that order is built."""
+    if n > (cap := CAPS.get().group_order):
+        raise CapExceededError(f"{what} order {n} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +134,11 @@ def build_group(
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
+    _check_order(n)
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     gens = {"g": 1} if n > 1 else {}
-    return build_group(mul, labels, name=f"C{n}", generators=gens)
+    return _package(mul, labels, f"C{n}", gens)
 
 
 def elementary_abelian_2(
@@ -144,19 +151,19 @@ def elementary_abelian_2(
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
+    _check_order(n := 1 << rank)
     if gen_names is None:
         gen_names = ["g", "h"] + [f"x{i}" for i in range(1, rank)]
     gen_names = list(gen_names)[:rank]
     if len(gen_names) != rank:
         raise ValueError("not enough generator names")
-    n = 1 << rank
     mul = [[i ^ j for j in range(n)] for i in range(n)]
     labels = []
     for mask in range(n):
         parts = [gen_names[b] for b in range(rank) if mask >> b & 1]
         labels.append("".join(parts) if parts else "1")
     gens = {gen_names[b]: 1 << b for b in range(rank)}
-    return build_group(mul, labels, name=f"C2^{rank}", generators=gens)
+    return _package(mul, labels, f"C2^{rank}", gens)
 
 
 def dihedral8() -> FiniteGroup:
@@ -171,7 +178,7 @@ def dihedral8() -> FiniteGroup:
             row.append(i + 4 * ((j1 + j2) % 2))
         mul.append(row)
     labels = ["1", "a", "a2", "a3", "b", "ab", "a2b", "a3b"]
-    return build_group(mul, labels, name="D8", generators={"a": 1, "b": 4})
+    return _package(mul, labels, "D8", {"a": 1, "b": 4})
 
 
 def quaternion8() -> FiniteGroup:
@@ -206,14 +213,12 @@ def quaternion8() -> FiniteGroup:
             s3, u3 = unit_mul(u1, u2)
             row.append(encode(s1 * s2 * s3, u3))
         mul.append(row)
-    return build_group(mul, names, name="Q8", generators={"i": 2, "j": 4})
+    return _package(mul, names, "Q8", {"i": 2, "j": 4})
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGroup:
     """Direct product with ids packed as x*|B| + y."""
-    n = a.order * b.order
-    if n > (cap := CAPS.get().group_order):
-        raise CapExceededError(f"product order {n} exceeds cap {cap}")
+    _check_order(n := a.order * b.order, "product")
     nb = b.order
     mul = []
     for x in range(n):
@@ -237,7 +242,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGrou
     for k, v in b.generators.items():
         if k not in gens:
             gens[k] = v
-    return build_group(mul, labels, name=name or f"{a.name}x{b.name}", generators=gens)
+    return _package(mul, labels, name or f"{a.name}x{b.name}", gens)
 
 
 def build_preset(name: str, params: Sequence[int] = ()) -> FiniteGroup:
@@ -438,7 +443,7 @@ def quotient(g: FiniteGroup, normal_ids: Iterable[int]) -> tuple[FiniteGroup, Gr
         [proj[g.mul[reps[i]][reps[j]]] for j in range(order)] for i in range(order)
     ]
     labels = [g.labels[r] for r in reps]
-    q = build_group(mul, labels, name=f"{g.name}/N")
+    q = _package(mul, labels, f"{g.name}/N")
     return q, GroupHom(source=g, target=q, map=proj)
 
 
