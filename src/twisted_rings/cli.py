@@ -329,7 +329,7 @@ def _cmd_units(args, report: Report) -> None:
             )
         )
     elif args.action == "obstruct":
-        psi = d8_case.build_d8_psi(_in_range(args.n, 0, d8_case.MAX_N, "--n"))
+        psi = d8_case.build_d8_psi(_in_range(args.n, 0, None, "--n"))
         x = rings.element_from_json(psi.target, _load_json_arg(args.element))
         cert = units.parity_obstruction(psi, x)
         report.add(
@@ -415,8 +415,7 @@ def _cmd_case(args, report: Report) -> None:
     if args.case == "c2c2":
         report.items.extend(d8_case.c2c2_audit())
     elif args.case == "d8":
-        _in_range(args.n, 0, d8_case.MAX_N, "--n")
-        report.items.extend(d8_case.d8_case_study(args.n).items)
+        report.items.extend(d8_case.d8_case_study(_in_range(args.n, 0, None, "--n")).items)
     elif args.case == "congruence":
         i, depth = _in_range(args.i, 1, None, "--i"), _in_range(args.depth, 0, None, "--depth")
         report.items.extend(d8_case.congruence_audit(i, depth))
@@ -446,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap-scan-candidates", type=int, help="most candidates of a torsion-unit scan"
+    )
+    common.add_argument(
+        "--cap-case-level", type=int, help="highest level n of 'case d8' and 'units obstruct'"
     )
     parser = argparse.ArgumentParser(
         prog="twisted-rings",

@@ -14,7 +14,8 @@ class Caps:
     """Size caps of the dense tables and the exhaustive searches.
 
     The defaults are the largest values the tables support (group order and
-    conductor) or that finish in reasonable time (the searches).  ``CAPS``
+    conductor) or that finish in reasonable time (the searches, and the
+    level n of the D8 x C2^n case study).  ``CAPS``
     holds the caps in force in the current context, so a lowered cap lasts
     only as long as the context that set it and never leaks across threads.
     """
@@ -24,6 +25,7 @@ class Caps:
     coboundary: int = 10**7
     word_length: int = 12
     scan_candidates: int = 10**6
+    case_level: int = 4
 
 
 CAPS: ContextVar[Caps] = ContextVar("caps", default=Caps())

@@ -308,6 +308,58 @@ def twist_exponents_multiplicative(psi: PsiMap) -> bool:
     return True
 
 
+def twist_exponents_add(psi: PsiMap, first: PsiMap, second: PsiMap, one: PsiMap) -> bool:
+    """Whether psi's exponents e and target twist t are first's plus second's
+    minus one's, as exp/m_t in Q/Z over a common denominator.
+
+    For four maps on one source ring and one quotient map, the defect
+    s(x,y)/c_s + e(xy) - e(x) - e(y) - t(q(x), q(y)) that
+    twist_exponents_multiplicative walks is affine in (e, t), so psi passes
+    that walk when the other three do: |Gamma| + |G|^2 sums, not |Gamma|^2.
+    """
+    maps = (psi, first, second, one)
+    den = lcm(*(p.target.cocycle.modulus for p in maps))
+    # psi - first - second + one, each over the denominator den
+    w0, w1, w2, w3 = (s * den // p.target.cocycle.modulus for s, p in zip((1, -1, -1, 1), maps))
+    values = (
+        [e for _, e in p.gamma_images] + [v for row in p.target.cocycle.table for v in row]
+        for p in maps
+    )
+    return not any((w0 * a + w1 * b + w2 * c + w3 * d) % den for a, b, c, d in zip(*values))
+
+
+def twist_exponents_failure(psis: Sequence[PsiMap]) -> Optional[PsiMap]:
+    """The first of psis found not multiplicative on twist exponents, or None.
+
+    psis map one source ring by one quotient map, one per character of N, the
+    trivial one among them.  Only the trivial character and each chi not
+    reached yet take the full walk; a walked chi reaches chi' chi for every
+    chi' reached before, by twist_exponents_add, which every build_psi map
+    passes (e_chi(n mu(g)) = chi(n), and t_chi - t_1 is chi of the factor
+    set).  Over +-1 that walks log2 |N| + 1 of the |N| characters.
+    """
+    by_values = {psi.chi.values: psi for psi in psis}
+    one = next(psi for psi in psis if psi.chi.is_trivial())
+    done: dict[tuple[int, ...], PsiMap] = {}
+    for gen in (one, *psis):
+        if gen.chi.values in done:
+            continue
+        if not twist_exponents_multiplicative(gen):
+            return gen
+        m = gen.chi.modulus
+        spanned = list(done.items())
+        done[gen.chi.values] = gen
+        for values, prev in spanned:
+            prod = tuple((a + b) % m for a, b in zip(values, gen.chi.values))
+            psi = by_values.get(prod)
+            if psi is None or prod in done:
+                continue
+            if not twist_exponents_add(psi, prev, gen, one):
+                return psi
+            done[prod] = psi
+    return None
+
+
 def kernel_basis(psi: PsiMap) -> list[TwElement]:
     """R-module basis {u_(a mu(g)) - chi(a) u_mu(g)} of ker(psi), a != 1."""
     ext = psi.ext

@@ -151,7 +151,11 @@ def elementary_abelian_2(
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    _check_order(n := 1 << rank)
+    # 2^rank > cap exactly when rank reaches the cap's bit length, so the rank
+    # is compared before 2^rank is built or printed
+    if rank >= max(cap := CAPS.get().group_order, 0).bit_length():
+        raise CapExceededError(f"group order 2^{rank} exceeds cap {cap}")
+    n = 1 << rank
     if gen_names is None:
         gen_names = ["g", "h"] + [f"x{i}" for i in range(1, rank)]
     gen_names = list(gen_names)[:rank]

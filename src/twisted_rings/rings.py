@@ -425,26 +425,28 @@ def _certify_components(ring: TwRing, psis) -> None:
     """Raise unless the psi_chi in psis split Q R^alpha[G] into their targets.
 
     Each psi_chi must send 1 to 1 and be multiplicative on basis pairs: the
-    quotient map q, which every psi_chi shares, once for the ring, and the
-    twist exponents once per chi.  The targets must have the ring's
+    quotient map q, which every psi_chi shares with the source ring, once
+    for the ring, and the twist exponents by twist_exponents_failure, on
+    every basis pair for the trivial chi and a generating set of characters
+    and as sums of theirs for the rest.  The targets must have the ring's
     dimension in total, and _lift_sum of the images of every basis vector
     must be |N| times that vector.  Then the sum of the psi_chi is an
     injective, hence bijective, homomorphism of Q-algebras, so det L_x is
     the product of the determinants of L_psi_chi(x).
     """
     # a late import: extensions imports this module
-    from .extensions import quotient_multiplicative, twist_exponents_multiplicative
+    from .extensions import quotient_multiplicative, twist_exponents_failure
 
     quotient = [g for g, _ in psis[0].gamma_images]
     if not quotient_multiplicative(psis[0]) or any(
-        [g for g, _ in psi.gamma_images] != quotient for psi in psis
+        psi.source != ring or [g for g, _ in psi.gamma_images] != quotient for psi in psis
     ):
         raise ArithmeticError(f"components of {ring!r}: the quotient map is not multiplicative")
     for psi in psis:
         if psi.image_coords([(0, 0, 1)]) != _one_coords(psi.target.dim):
             raise ArithmeticError(f"component {psi.chi.values} of {ring!r} does not send 1 to 1")
-        if not twist_exponents_multiplicative(psi):
-            raise ArithmeticError(f"component {psi.chi.values} of {ring!r} is not multiplicative")
+    if (bad := twist_exponents_failure(psis)) is not None:
+        raise ArithmeticError(f"component {bad.chi.values} of {ring!r} is not multiplicative")
     if sum(psi.target.dim for psi in psis) != ring.dim:
         raise ArithmeticError(f"components of {ring!r} do not add up to its dimension")
     phi, n = PHI_DEGREE[ring.conductor], len(psis)
