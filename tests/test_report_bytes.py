@@ -23,6 +23,12 @@ A1 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 1}, "conductor": 2
 A4 = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 4}, "conductor": 2})
 C10 = json.dumps({"preset": "cyclic", "params": [10]})
 DP = json.dumps({"preset": "direct_product", "params": [4, 2]})
+Q8 = {"preset": "quaternion8"}
+C2, C3 = ({"preset": "cyclic", "params": [n]} for n in (2, 3))
+
+
+def _ring(cocycle: dict, conductor: int) -> str:
+    return json.dumps({"cocycle": cocycle, "conductor": conductor})
 
 CASES = [
     (
@@ -104,6 +110,39 @@ CASES = [
     (
         ["ext", "psi", D8, "--normal", "0", "2", "--chi", "1"],
         "86464b29d935a415bd908b23316eaee86eea92ac96c886bff95769716b7d8eef",
+    ),
+    # one `units finiteness` verdict per label of the finiteness rule
+    (
+        ["units", "finiteness", QUAT_RING],
+        "a0b2852570f5906451aed91007001e01e269acf76f9cf7e5b1010e4863627051",
+    ),
+    (
+        ["units", "finiteness", _ring({"builtin": "trivial", "group": Q8}, 2)],
+        "04cd67cf3ae63c320e397f6fa9cf065a0bc6456062a7ee8f05634e4dabb28320",
+    ),
+    (  # a coboundary on C3 over mu_3: G_alpha = C3 x C3
+        ["units", "finiteness", _ring({"group": C3, "m": 3, "table": [[0, 0, 0], [0, 2, 1], [0, 1, 2]]}, 3)],
+        "cb58983bf2ad883bd7abe5f356c86f545af32fb53224ed5f14d20fe4240d9d9d",
+    ),
+    (  # u_x^2 = -1 on C2: G_alpha = C4
+        ["units", "finiteness", _ring({"group": C2, "m": 2, "table": [[0, 0], [0, 1]]}, 2)],
+        "cf46f50c4f722ce75bf7f75d03165dc365e2bed5ba53b85cf8daf181a88537f5",
+    ),
+    (  # a coboundary on C3 over mu_2: G_alpha = C6
+        ["units", "finiteness", _ring({"group": C3, "m": 2, "table": [[0, 0, 0], [0, 0, 1], [0, 1, 1]]}, 2)],
+        "1eaa33e84bffb5eff31f0c44d02a00700eef2f2b01017a6bcf854604b1778bf3",
+    ),
+    (  # Z[D8], and a conductor whose coefficient units are already infinite
+        ["units", "finiteness", _ring({"builtin": "trivial", "group": {"preset": "dihedral8"}}, 1)],
+        "9ffb54e66bad089ba52a9d8c453f200e4e42574123cff614aaa29aa86462276d",
+    ),
+    (
+        ["units", "finiteness", _ring({"builtin": "quaternion"}, 8)],
+        "bbb4179f71866eb29125354612811a9c49457eb5992b71255dd6e37b21b20591",
+    ),
+    (
+        ["tower", "scan", "--n", "2", "--samples", "5", "--seed", "3"],
+        "a145a4cc149efd4fcdfabcba065c40b12d0696f840d68385f8da94e3165b1d53",
     ),
 ]
 
