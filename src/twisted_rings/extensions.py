@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .cocycles import (
     Cocycle,
     LinearCharacter,
+    build_G_alpha,
     inflate,
     transgress,
     trivial_cocycle,
@@ -30,8 +31,8 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Section,
-    element_order,
     exponent,
+    group_ring_units_finite,
     is_abelian,
     order_histogram,
     quotient,
@@ -191,14 +192,7 @@ class PsiMap:
     @cached_property
     def target_group_ring_units_finite(self) -> bool:
         """Whether U(Z[G]) is finite for the target group G, decided once per map."""
-        g = self.target.group
-        return _units_finite(TwRing(g, trivial_cocycle(g), 2))
-
-
-def _units_finite(ring: TwRing) -> bool:
-    from .units import decide_finiteness  # units imports this module
-
-    return decide_finiteness(ring, witness_search=False).finite
+        return group_ring_units_finite(self.target.group, 2)
 
 
 def build_psi(
@@ -476,24 +470,21 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
     if not ext.is_central:
         raise ValueError("finiteness predicate requires a central kernel")
     clauses = []
-    if _units_finite(psi.source):
+    conductor = psi.source.conductor
+    # Gamma is a quotient of the basis group, so it meets the rule whenever the
+    # basis group does: asked first, it spares building the basis group
+    if group_ring_units_finite(ext.total, conductor) and group_ring_units_finite(
+        build_G_alpha(psi.source.cocycle).group, conductor
+    ):
         clauses.append("unit-group-finite")
     if not psi.chi.is_trivial():
-        n_grp = ext.sub_group
-        n_order = n_grp.order
-        prime = n_order > 1 and all(n_order % d for d in range(2, n_order))
-        cyclic_n = any(element_order(n_grp, x) == n_order for x in n_grp.elements())
-        if prime and cyclic_n:
-            untwisted = TwRing(
-                ext.quotient_group,
-                trivial_cocycle(ext.quotient_group, 1),
-                psi.source.conductor,
-            )
-            if _units_finite(untwisted):
-                clauses.append("prime-kernel")
+        n_order = ext.sub_group.order
         g = ext.quotient_group
+        prime = n_order > 1 and all(n_order % d for d in range(2, n_order))
+        if prime and group_ring_units_finite(g, conductor):
+            clauses.append("prime-kernel")
         if is_abelian(g):
-            e = lcm(exponent(g), exponent(n_grp))
+            e = lcm(exponent(g), exponent(ext.sub_group))
             if 4 % e == 0 or 6 % e == 0:
                 clauses.append("abelian-small-exponent")
     return KernelFiniteness(finite=bool(clauses), clauses=tuple(clauses))

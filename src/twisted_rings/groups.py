@@ -417,6 +417,26 @@ def is_hamiltonian_2group(g: FiniteGroup) -> bool:
     return is_dedekind(g)
 
 
+# for each conductor c with U(Z[zeta_c]) finite, U(Z[zeta_c][A]) is finite for
+# an abelian A exactly when exp A divides one of these: then Q(zeta_c, zeta_e)
+# for e = exp A is one of Q, Q(i) and Q(sqrt-3)
+_FINITE_EXPONENT_BOUNDS = {1: (4, 6), 2: (4, 6), 3: (6,), 4: (4,), 6: (6,)}
+
+
+def group_ring_units_finite(g: FiniteGroup, conductor: int) -> bool:
+    """Whether U(Z[zeta_conductor][g]) is finite.
+
+    Higman's criterion, over Q(i) and Q(sqrt-3) too: g is abelian of an
+    exponent that divides 4 or 6 over Q, 4 over Q(i) and 6 over Q(sqrt-3),
+    or the field is Q and g is a Hamiltonian 2-group.  Applied to the basis
+    group G_alpha, it decides U(R^alpha[G]).
+    """
+    if is_abelian(g):
+        e = exponent(g)
+        return any(b % e == 0 for b in _FINITE_EXPONENT_BOUNDS.get(conductor, ()))
+    return conductor in (1, 2) and is_hamiltonian_2group(g)
+
+
 def quotient(g: FiniteGroup, normal_ids: Iterable[int]) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup, with the canonical projection.
 

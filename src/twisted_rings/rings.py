@@ -69,6 +69,10 @@ class TwRing:
     conductor: int
 
     def __post_init__(self) -> None:
+        if self.conductor not in SUPPORTED_CONDUCTORS:
+            raise ValueError(
+                f"conductor {self.conductor} unsupported (allowed: {SUPPORTED_CONDUCTORS})"
+            )
         if self.cocycle.group != self.group:
             raise ValueError("cocycle lives on a different group")
         if self.conductor % self.cocycle.modulus:

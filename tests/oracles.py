@@ -18,8 +18,12 @@ enumeration, which the index read off the normal form T x| F replaced;
 ``validate_hom`` is the pass over every pair that ``hom_from_gen_images``
 made before its generator walk was taken as the proof;
 ``center`` and ``group_to_json`` are group routines that only the tests
-use; the other three are small conveniences over the library's own
-constructions.
+use; ``decide_finiteness``, ``kernel_finiteness_predicate`` and
+``target_group_ring_units_finite`` decide unit-group finiteness by the
+three routes the library took before one rule on the basis group replaced
+them: a branch per twist kind over G_alpha, and a ring built (and its
+G_alpha) for every untwisted group ring; the other three are small
+conveniences over the library's own constructions.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from twisted_rings.cocycles import Cocycle, LinearCharacter, build_G_alpha
+from twisted_rings.cocycles import (
+    Cocycle,
+    LinearCharacter,
+    build_G_alpha,
+    cocycle_order,
+    trivial_cocycle,
+)
 from twisted_rings.cyclotomic import CycInt, cyclotomic_factors
 from twisted_rings.errors import CAPS, CapExceededError
 from twisted_rings.gl2 import (
@@ -44,9 +54,20 @@ from twisted_rings.gl2 import (
     phi_model_inverse,
     subgroup_from_generators,
 )
-from twisted_rings.groups import FiniteGroup, GroupHom, centralizer, order_histogram
+from twisted_rings.extensions import KernelFiniteness, PsiMap
+from twisted_rings.groups import (
+    FiniteGroup,
+    GroupHom,
+    centralizer,
+    element_order,
+    exponent,
+    is_abelian,
+    is_hamiltonian_2group,
+    order_histogram,
+)
 from twisted_rings.intmat import identity_matrix, mat_pow
 from twisted_rings.rings import TwElement, TwRing, is_unit
+from twisted_rings.units import _FIELD_OF, FinitenessVerdict, find_infinite_order_unit
 
 
 def charpoly(mat: list[list[int]]) -> list[int]:
@@ -420,3 +441,107 @@ class CycTupleElement:
                 {"g": g, "m": c.m, "c": list(c.coeffs)} for g, c in self.items()
             ]
         }
+
+
+def decide_finiteness(ring: TwRing, witness_search: bool = True) -> FinitenessVerdict:
+    """Decide whether U(R^alpha[G]) is finite.
+
+    Non-trivial twists route through the basis group G_alpha: the unit
+    group is finite exactly when G_alpha is abelian of exponent 4, 3 or 6
+    over the matching field, or a Hamiltonian 2-group over Q.  Trivial
+    twists use the classical group-ring criterion.  Infinite verdicts carry
+    a unit of infinite order when a small search finds one.
+    """
+    field_name = _FIELD_OF.get(ring.conductor)
+    if field_name is None:
+        return FinitenessVerdict(
+            False,
+            "infinite",
+            {"reason": f"U(Z[zeta_{ring.conductor}]) is already infinite"},
+        )
+    ga = build_G_alpha(ring.cocycle)
+    hist = order_histogram(ga.group)
+    info = {"galpha_order_histogram": hist, "field": field_name}
+    trivial = cocycle_order(ring.cocycle) == 1
+    abelian = is_abelian(ga.group)
+    exp = exponent(ga.group)
+    if trivial:
+        if abelian and (
+            (field_name == "Q" and (4 % exp == 0 or 6 % exp == 0))
+            or (field_name == "Q(i)" and 4 % exp == 0)
+            or (field_name == "Q(sqrt-3)" and 6 % exp == 0)
+        ):
+            return FinitenessVerdict(True, "trivial-cocycle-higman", info)
+        if field_name == "Q" and is_hamiltonian_2group(ga.group):
+            return FinitenessVerdict(True, "trivial-cocycle-higman", info)
+        return _infinite(ring, info, witness_search)
+    if abelian:
+        if exp <= 2:
+            # an abelian basis group of exponent 2 forces the table to be a
+            # coboundary, so the ring is the plain group ring of an
+            # elementary abelian 2-group: finite over every allowed field
+            return FinitenessVerdict(True, "trivial-cocycle-higman", info)
+        if exp == 4 and field_name in ("Q", "Q(i)"):
+            return FinitenessVerdict(True, "abelian-exp4", info)
+        if exp == 3 and field_name == "Q(sqrt-3)":
+            return FinitenessVerdict(True, "abelian-exp3", info)
+        if exp == 6 and field_name in ("Q", "Q(sqrt-3)"):
+            return FinitenessVerdict(True, "abelian-exp6", info)
+        return _infinite(ring, info, witness_search)
+    if field_name == "Q" and is_hamiltonian_2group(ga.group):
+        return FinitenessVerdict(True, "hamiltonian-2group", info)
+    return _infinite(ring, info, witness_search)
+
+
+def _infinite(ring: TwRing, info: dict, search: bool) -> FinitenessVerdict:
+    info = dict(info)
+    if search and ring.dim <= 12:
+        w = find_infinite_order_unit(ring)
+        if w is not None:
+            info["infinite_order_unit"] = w.to_json()
+            info["witness_element"] = repr(w)
+    return FinitenessVerdict(False, "infinite", info)
+
+
+def _units_finite(ring: TwRing) -> bool:
+    return decide_finiteness(ring, witness_search=False).finite
+
+
+def target_group_ring_units_finite(psi: PsiMap) -> bool:
+    """Whether U(Z[G]) is finite for the target group G."""
+    g = psi.target.group
+    return _units_finite(TwRing(g, trivial_cocycle(g), 2))
+
+
+def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
+    """Decide finiteness of ker(unit map) for a central kernel.
+
+    The kernel is finite iff the source unit group is finite, or chi is
+    non-trivial and either N is of prime order with U(R[G]) finite, or G is
+    abelian with lcm(exp G, exp N) dividing 4 or 6.
+    """
+    ext = psi.ext
+    if not ext.is_central:
+        raise ValueError("finiteness predicate requires a central kernel")
+    clauses = []
+    if _units_finite(psi.source):
+        clauses.append("unit-group-finite")
+    if not psi.chi.is_trivial():
+        n_grp = ext.sub_group
+        n_order = n_grp.order
+        prime = n_order > 1 and all(n_order % d for d in range(2, n_order))
+        cyclic_n = any(element_order(n_grp, x) == n_order for x in n_grp.elements())
+        if prime and cyclic_n:
+            untwisted = TwRing(
+                ext.quotient_group,
+                trivial_cocycle(ext.quotient_group, 1),
+                psi.source.conductor,
+            )
+            if _units_finite(untwisted):
+                clauses.append("prime-kernel")
+        g = ext.quotient_group
+        if is_abelian(g):
+            e = lcm(exponent(g), exponent(n_grp))
+            if 4 % e == 0 or 6 % e == 0:
+                clauses.append("abelian-small-exponent")
+    return KernelFiniteness(finite=bool(clauses), clauses=tuple(clauses))

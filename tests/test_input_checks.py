@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from twisted_rings.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, run
+from twisted_rings.cli import EXIT_CAP, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, run
 
 C2C2 = {"preset": "elementary_abelian_2", "params": [2]}
 # table[1][2] = 1 alone breaks the cocycle identity at (1, 1, 2)
@@ -102,3 +102,28 @@ def test_d8_case_bytes_at_higher_levels(capsys, n, digest):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+C2_UNTWISTED = {"builtin": "trivial", "group": {"preset": "cyclic", "params": [2]}}
+
+
+@pytest.mark.parametrize("conductor", [0, 5, -2])
+@pytest.mark.parametrize(
+    "command", [["ring", "unit"], ["units", "finiteness"]], ids=["unit", "finiteness"]
+)
+def test_a_ring_refuses_an_unsupported_conductor(capsys, command, conductor):
+    ring = json.dumps({"cocycle": C2_UNTWISTED, "conductor": conductor})
+    extra = ["--x", ONE] if command[0] == "ring" else []
+    code = run(command + [ring] + extra)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: conductor {conductor} unsupported (allowed: (1, 2, 3, 4, 6, 8, 12, 24))\n"
+    )
+
+
+def test_a_conductor_past_the_cap_is_still_a_cap_error(capsys):
+    ring = json.dumps({"cocycle": C2_UNTWISTED, "conductor": 48})
+    assert run(["units", "finiteness", ring]) == EXIT_CAP
+    assert capsys.readouterr().err == "error: conductor 48 exceeds cap 24\n"
