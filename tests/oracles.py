@@ -22,8 +22,13 @@ use; ``decide_finiteness``, ``kernel_finiteness_predicate`` and
 ``target_group_ring_units_finite`` decide unit-group finiteness by the
 three routes the library took before one rule on the basis group replaced
 them: a branch per twist kind over G_alpha, and a ring built (and its
-G_alpha) for every untwisted group ring; the other three are small
-conveniences over the library's own constructions.
+G_alpha) for every untwisted group ring; ``peel_step`` is the peel step
+with its four column operations written out by hand, ``trivial_closure``
+the closure of trivial units as (sign, gamma) pairs, and ``cyclic_sum``
+the sum of the powers of u_g up to the first that is 1, as the library
+wrote them before the letters, G_alpha of the model twist and the order
+of u_g replaced them; the other three are small conveniences over the
+library's own constructions.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from twisted_rings.cocycles import (
     Cocycle,
@@ -49,6 +54,8 @@ from twisted_rings.gl2 import (
     IndexAudit,
     SanovWord,
     UnitNF,
+    _MODEL_GROUP_MUL,
+    _MODEL_SIGN,
     _require_model_ring,
     factor_unit,
     phi_model_inverse,
@@ -545,3 +552,51 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
             if 4 % e == 0 or 6 % e == 0:
                 clauses.append("abelian-small-exponent")
     return KernelFiniteness(finite=bool(clauses), clauses=tuple(clauses))
+
+
+def peel_step(a: int, b: int, c: int, d: int):
+    """(letter, entries) of one greedy peel step on the matrix (a b; c d):
+    the first letter, in the order V, V^-1, W, W^-1, whose removal from the
+    right strictly decreases the largest absolute entry, and the entries
+    left after removing it.  None when no letter does, as at the identity.
+    Stripping a letter is a column operation on the four entries."""
+    size = max(abs(a), abs(b), abs(c), abs(d))
+    for letter, *nxt in (
+        (("V", 1), a - 2 * b, b, c - 2 * d, d),
+        (("V", -1), a + 2 * b, b, c + 2 * d, d),
+        (("W", 1), a, b - 2 * a, c, d - 2 * c),
+        (("W", -1), a, b + 2 * a, c, d + 2 * c),
+    ):
+        if max(map(abs, nxt)) < size:
+            return letter, tuple(nxt)
+    return None
+
+
+def trivial_closure(seed: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    elems = {(1, 0)}
+    frontier = [(1, 0)]
+    gens = list(seed)
+    while frontier:
+        s, g = frontier.pop()
+        for s2, g2 in gens:
+            prod = (s * s2 * _MODEL_SIGN[g][g2], _MODEL_GROUP_MUL[g][g2])
+            if prod not in elems:
+                elems.add(prod)
+                frontier.append(prod)
+    return frozenset(elems)
+
+
+def cyclic_sum(ring: TwRing, g: int) -> TwElement:
+    """1 + u_g + ... + u_g^(o(u_g)-1); the zero element when the sum telescopes."""
+    one = ring.one()
+    total = one
+    p = ring.basis(g)
+    cap = element_order(ring.group, g) * ring.cocycle.modulus
+    steps = 0
+    while p != one:
+        total = total + p
+        p = p * ring.basis(g)
+        steps += 1
+        if steps > cap:
+            raise ArithmeticError("cyclic sum failed to terminate")
+    return total

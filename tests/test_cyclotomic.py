@@ -204,3 +204,19 @@ def test_cyclotomic_factors_recovers_the_factors(ks):
     # factors with roots off the unit circle
     assert cyclotomic_factors(_poly_mul(poly, [1, -3, 1])) is None
     assert cyclotomic_factors(_poly_mul(poly, [-2, 0, 1])) is None
+
+
+def test_subtraction_of_an_int_and_across_conductors():
+    # CycInt - int and CycInt - CycInt reach __sub__; int - CycInt does not
+    i = CycInt.zeta(4)
+    assert i - 1 == CycInt(4, (-1, 1))
+    assert i - 1 == -(1 - i)
+    assert i - i == CycInt.integer(0, 4)
+    # zeta_3 - zeta_6 = zeta_3 - (1 + zeta_3) = -1, computed in Z[zeta_6]
+    diff = CycInt.zeta(3) - CycInt.zeta(6)
+    assert diff == CycInt.integer(-1, 6)
+    assert diff.as_int() == -1
+    # the pair is compared in Z[zeta_24] when the conductors share no field
+    w = CycInt.zeta(8) - CycInt.zeta(3)
+    assert w + CycInt.zeta(3) == CycInt.zeta(8)
+    assert w.m == 24
