@@ -6,7 +6,6 @@ from .cyclotomic import CycInt, RootOfUnity, galois_apply, is_root_of_unity
 from .groups import (
     FiniteGroup,
     GroupHom,
-    Section,
     build_preset,
     centralizer,
     cyclic,

@@ -239,7 +239,7 @@ def _cmd_ext(args, report: Report) -> None:
                 {
                     "quotient_order": ext.quotient_group.order,
                     "central": ext.is_central,
-                    "section": list(ext.section.map),
+                    "section": list(ext.section),
                 },
             )
         )
@@ -350,7 +350,8 @@ def _cmd_tower(args, report: Report) -> None:
         base = rings.anticommuting_ring(0)
     _in_range(args.n, 1, None, "--n")
     if args.action == "scan":
-        _in_range(args.samples, 1, None, "--samples")
+        if _in_range(args.samples, 1, None, "--samples") > (cap := CAPS.get().scan_candidates):
+            raise CapExceededError(f"{args.samples} samples exceed the scan cap {cap}")
     else:
         _in_range(args.level, 1, args.n, "--level")
     ctx = tower.build_tower(base, args.n)
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap-word-length", type=int, help="longest enumerated free word"
     )
     common.add_argument(
-        "--cap-scan-candidates", type=int, help="most candidates of a torsion-unit scan"
+        "--cap-scan-candidates", type=int, help="most scan candidates and 'tower scan' samples"
     )
     common.add_argument(
         "--cap-case-level", type=int, help="highest level n of 'case d8' and 'units obstruct'"

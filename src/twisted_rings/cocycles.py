@@ -58,9 +58,6 @@ class Cocycle:
     def is_trivial_table(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
 
-    def to_json(self) -> dict:
-        return {"m": self.modulus, "table": [list(r) for r in self.table]}
-
 
 @dataclass(frozen=True)
 class CocycleReport:

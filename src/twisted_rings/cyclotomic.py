@@ -286,9 +286,6 @@ class CycInt:
                     terms.append(f"{c}*{z}")
         return "+".join(terms).replace("+-", "-") or "0"
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": list(self.coeffs)}
-
 
 @dataclass(frozen=True)
 class RootOfUnity:
@@ -304,9 +301,6 @@ class RootOfUnity:
     @property
     def order(self) -> int:
         return self.m // gcd(self.m, self.k) if self.k else 1
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "k": self.k}
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,6 @@ from .errors import CapExceededError
 from .groups import (
     FiniteGroup,
     GroupHom,
-    Section,
     exponent,
     group_ring_units_finite,
     is_abelian,
@@ -50,7 +49,7 @@ class ExtensionData:
     sub_ids: frozenset[int]
     quotient_group: FiniteGroup
     proj: GroupHom
-    section: Section
+    section: tuple[int, ...]
     sub_group: FiniteGroup
     sub_embed: tuple[int, ...]
     sub_index: dict[int, int]
@@ -61,7 +60,7 @@ class ExtensionData:
     def decompose(self, gamma: int) -> tuple[int, int]:
         """Write gamma = n * mu(g); returns (sub-id of n, quotient id g)."""
         g = self.proj.map[gamma]
-        mu_g = self.section.map[g]
+        mu_g = self.section[g]
         n = self.total.mul[gamma][self.total.inv[mu_g]]
         return self.sub_index[n], g
 
@@ -78,8 +77,8 @@ def build_extension(
     representative); passing an explicit surjection with the same kernel
     fixes a preferred presentation of the quotient instead.  The default
     section picks the least preimage of each quotient element; an explicit
-    section_map (quotient id -> total id) may be supplied to reproduce a
-    particular labelling.
+    section_map (quotient id -> total id), checked here, may be supplied to
+    reproduce a particular labelling.
     """
     nset = frozenset(sub_ids)
     if proj is None:
@@ -95,24 +94,26 @@ def build_extension(
     sub_group, embed = subgroup_as_group(total, nset)
     sub_index = {embed.map[i]: i for i in range(sub_group.order)}
     if section_map is None:
-        chosen = [min(x for x in total.elements() if proj.map[x] == g) for g in q.elements()]
-        section_map = chosen
-    section = Section(of=proj, map=tuple(section_map))
-    validate_section(section)
+        # the least preimage of each coset, a section by construction
+        least = {proj.map[x]: x for x in reversed(total.elements())}
+        section = tuple(least[g] for g in q.elements())
+    else:
+        section = tuple(section_map)
+        validate_section(proj, section)
     mul = total.mul
     inv = total.inv
     alpha_rows = []
     for a in q.elements():
         row = []
         for b in q.elements():
-            val = mul[mul[section.map[a]][section.map[b]]][inv[section.map[q.mul[a][b]]]]
+            val = mul[mul[section[a]][section[b]]][inv[section[q.mul[a][b]]]]
             if val not in sub_index:
                 raise ValueError("factor set leaves the kernel; section is invalid")
             row.append(sub_index[val])
         alpha_rows.append(tuple(row))
     sigma_rows = []
     for g in q.elements():
-        mu_g = section.map[g]
+        mu_g = section[g]
         perm = []
         for i in range(sub_group.order):
             n = embed.map[i]
@@ -187,7 +188,7 @@ class PsiMap:
         signs = tuple(
             (mul[z], -1 if v else 1) for z, v in zip(self.ext.sub_embed, self.chi.values)
         )
-        return self.ext.section.map, powers, signs
+        return self.ext.section, powers, signs
 
     @cached_property
     def target_group_ring_units_finite(self) -> bool:
@@ -364,7 +365,7 @@ def kernel_basis(psi: PsiMap) -> list[TwElement]:
         a = ext.sub_embed[a_idx]
         chi_a = psi.chi.value_at(a_idx, cond)
         for g in ext.quotient_group.elements():
-            mu_g = ext.section.map[g]
+            mu_g = ext.section[g]
             elem = src.basis(ext.total.mul[a][mu_g]) - src.basis(mu_g) * chi_a
             out.append(elem)
     return out

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .cocycles import c2c2_matrix_cocycle
+from .cocycles import build_G_alpha, c2c2_matrix_cocycle
 from .errors import CAPS, CapExceededError
+from .groups import subgroup_closure
 from .rings import TwElement, TwRing
 
 PEEL_STEP_CAP = 64
@@ -79,6 +80,13 @@ _MODEL = c2c2_matrix_cocycle()
 _MODEL_GROUP_MUL = _MODEL.group.mul
 # sign in u_a u_b = sign * u_(ab) for the matrix-model table
 _MODEL_SIGN = tuple(tuple((-1) ** v for v in row) for row in _MODEL.table)
+# the trivial units +-u_gamma are G_alpha of the model twist: -u_gamma is
+# zeta_2 u_gamma, with id gamma + 4
+_T = build_G_alpha(_MODEL)
+
+
+def _trivial_id(sign: int, gamma: int) -> int:
+    return gamma if sign == 1 else gamma + _MODEL.group.order
 
 
 def model_ring(conductor: int = 2) -> TwRing:
@@ -168,16 +176,12 @@ def _peel_step(a: int, b: int, c: int, d: int):
     the first letter, in the order V, V^-1, W, W^-1, whose removal from the
     right strictly decreases the largest absolute entry, and the entries
     left after removing it.  None when no letter does, as at the identity.
-    Stripping a letter is a column operation on the four entries."""
+    Stripping the letter (base, e) is multiplying by (base, -e)."""
     size = max(abs(a), abs(b), abs(c), abs(d))
-    for letter, *nxt in (
-        (("V", 1), a - 2 * b, b, c - 2 * d, d),
-        (("V", -1), a + 2 * b, b, c + 2 * d, d),
-        (("W", 1), a, b - 2 * a, c, d - 2 * c),
-        (("W", -1), a, b + 2 * a, c, d + 2 * c),
-    ):
+    for base, e in _LETTERS:
+        nxt = _times_letter(a, b, c, d, base, -e)
         if max(map(abs, nxt)) < size:
-            return letter, tuple(nxt)
+            return (base, e), nxt
     return None
 
 
@@ -407,27 +411,14 @@ class StallingsGraph:
 
 @dataclass(frozen=True)
 class SubgroupNF:
-    """Subgroup generated by trivial units and free words (closed form)."""
+    """Subgroup generated by trivial units and free words (closed form);
+    trivial_part holds ids of T = G_alpha of the model twist."""
 
-    trivial_part: frozenset[tuple[int, int]]
+    trivial_part: frozenset[int]
     graph: StallingsGraph
 
     def contains(self, x: UnitNF) -> bool:
-        return (x.sign, x.gamma) in self.trivial_part and self.graph.contains(x.word)
-
-
-def _trivial_closure(seed: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    elems = {(1, 0)}
-    frontier = [(1, 0)]
-    gens = list(seed)
-    while frontier:
-        s, g = frontier.pop()
-        for s2, g2 in gens:
-            prod = (s * s2 * _MODEL_SIGN[g][g2], _MODEL_GROUP_MUL[g][g2])
-            if prod not in elems:
-                elems.add(prod)
-                frontier.append(prod)
-    return frozenset(elems)
+        return _trivial_id(x.sign, x.gamma) in self.trivial_part and self.graph.contains(x.word)
 
 
 def subgroup_from_generators(gens: Sequence[UnitNF]) -> SubgroupNF:
@@ -437,19 +428,19 @@ def subgroup_from_generators(gens: Sequence[UnitNF]) -> SubgroupNF:
     full group of trivial units, in which case their word parts act as word
     generators.
     """
-    trivial_seed = [(g.sign, g.gamma) for g in gens if len(g.word) == 0]
-    trivial_part = _trivial_closure(trivial_seed)
+    trivial_seed = [_trivial_id(g.sign, g.gamma) for g in gens if len(g.word) == 0]
+    trivial_part = subgroup_closure(_T.group, trivial_seed)
     words = [g.word for g in gens if len(g.word) > 0]
     mixed = [g for g in gens if len(g.word) > 0 and not (g.sign == 1 and g.gamma == 0)]
-    if mixed and len(trivial_part) < 8:
+    if mixed and len(trivial_part) < _T.group.order:
         raise ValueError(
             "mixed generators are only supported when all trivial units are present"
         )
     # close the word generators under conjugation by the trivial part
     closed_words = []
     for word in words:
-        for _, gamma in trivial_part:
-            closed_words.append(_act_word(gamma, word))
+        for t in trivial_part:
+            closed_words.append(_act_word(_T.projection.map[t], word))
     return SubgroupNF(trivial_part=trivial_part, graph=StallingsGraph(closed_words))
 
 
@@ -462,7 +453,7 @@ def unit_index_audit(generators: Sequence[TwElement], ring: TwRing) -> IndexAudi
     """Index of the subgroup H generated by given units inside U(model ring).
 
     Every generator is put into the (trivial unit) * (free word) normal
-    form, which builds H as T_H x| H_F.  Since U = T x| F with |T| = 8,
+    form, which builds H as T_H x| H_F.  Since U = T x| F,
     [U : H] = [T : T_H] * [F : H_F]; the second factor is the vertex count
     of H_F's folded Stallings graph when it is complete, and the index is
     None (infinite) when it is not.
@@ -470,7 +461,7 @@ def unit_index_audit(generators: Sequence[TwElement], ring: TwRing) -> IndexAudi
     _require_model_ring(ring)
     sub = subgroup_from_generators([factor_unit(u) for u in generators])
     free = sub.graph.free_index()
-    return IndexAudit(None if free is None else 8 // len(sub.trivial_part) * free)
+    return IndexAudit(None if free is None else _T.group.order // len(sub.trivial_part) * free)
 
 
 def nielsen_schreier(rank: int, index: int) -> int:

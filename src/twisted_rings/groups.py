@@ -41,9 +41,6 @@ class GroupHom:
     target: FiniteGroup
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def kernel(self) -> frozenset[int]:
         return frozenset(x for x in self.source.elements() if self.map[x] == 0)
 
@@ -52,17 +49,6 @@ class GroupHom:
 
     def is_surjective(self) -> bool:
         return len(self.image()) == self.target.order
-
-
-@dataclass(frozen=True)
-class Section:
-    """Set-theoretic section of a surjective homomorphism."""
-
-    of: GroupHom
-    map: tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.map[g]
 
 
 def build_group(
@@ -512,16 +498,15 @@ def hom_from_gen_images(
     return GroupHom(source, target, tuple(table[x] for x in source.elements()))
 
 
-def validate_section(s: Section) -> None:
-    lam = s.of
-    if not lam.is_surjective():
-        raise ValueError("section of a non-surjective homomorphism")
-    if len(s.map) != lam.target.order:
-        raise ValueError(f"section has {len(s.map)} entries for {lam.target.order} cosets")
-    if s.map[0] != 0:
+def validate_section(proj: GroupHom, section: Sequence[int]) -> None:
+    """Check that section (quotient id -> source id) is a section of the
+    surjection proj that fixes the identity."""
+    if len(section) != proj.target.order:
+        raise ValueError(f"section has {len(section)} entries for {proj.target.order} cosets")
+    if section[0] != 0:
         raise ValueError("section does not fix the identity")
-    for gid in lam.target.elements():
-        if lam.map[s.map[gid]] != gid:
+    for gid in proj.target.elements():
+        if proj.map[section[gid]] != gid:
             raise ValueError(f"section fails at {gid}")
 
 

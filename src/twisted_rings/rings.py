@@ -41,6 +41,7 @@ from .cocycles import (
     LinearCharacter,
     anticommuting_pair_cocycle,
     c2c2_quaternion_cocycle,
+    exponent_order,
 )
 from .cyclotomic import (
     PHI_DEGREE,
@@ -132,7 +133,7 @@ class TwRing:
         if len(kernel) == 1:
             return ()
         ext = build_extension(g, kernel)
-        sec = ext.section.map
+        sec = ext.section
         beta = Cocycle(
             ext.quotient_group,
             self.cocycle.modulus,
@@ -726,18 +727,16 @@ def conj_character(ring: TwRing, x: int) -> ConjCharacter:
 
 
 def cyclic_sum(ring: TwRing, g: int) -> TwElement:
-    """1 + u_g + ... + u_g^(o(u_g)-1); the zero element when the sum telescopes."""
-    one = ring.one()
-    total = one
-    p = ring.basis(g)
-    cap = element_order(ring.group, g) * ring.cocycle.modulus
-    steps = 0
-    while p != one:
-        total = total + p
+    """1 + u_g + ... + u_g^(k-1) for k the order of u_g; the zero element
+    when the sum telescopes.  u_g^o(g) = zeta^s for s = basis_power_exponent,
+    so k = o(g) times the order of zeta^s."""
+    k = element_order(ring.group, g) * exponent_order(
+        ring.cocycle.modulus, basis_power_exponent(ring, g)
+    )
+    total = p = ring.one()
+    for _ in range(k - 1):
         p = p * ring.basis(g)
-        steps += 1
-        if steps > cap:
-            raise ArithmeticError("cyclic sum failed to terminate")
+        total = total + p
     return total
 
 

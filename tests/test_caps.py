@@ -108,3 +108,24 @@ def test_the_scan_candidate_cap_is_a_search_cap(capsys):
     assert _caps(parse(["--cap-scan-candidates", str(10**9), "case", "d8"])) == Caps(
         scan_candidates=10**9
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", "scan", "--samples", "1000001"],
+        ["--cap-scan-candidates", "4", "tower", "scan", "--samples", "5"],
+    ],
+    ids=["default cap", "lowered cap"],
+)
+def test_tower_scan_over_the_cap_exits_3_before_building(capsys, monkeypatch, argv):
+    def build_tower(*_):
+        raise AssertionError("the tower is built before the samples are checked")
+
+    monkeypatch.setattr("twisted_rings.tower.build_tower", build_tower)
+    start = time.monotonic()
+    assert run(argv) == EXIT_CAP
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "scan cap" in captured.err

@@ -69,12 +69,6 @@ def test_the_peel_step_agrees_on_the_images_of_units(word, trivial):
     assert gl2._peel_step(*entries) == oracles.peel_step(*entries)
 
 
-def test_the_peel_step_agrees_on_every_short_word():
-    for word in oracles.reduced_words(6):
-        entries = word.evaluate().entries()
-        assert gl2._peel_step(*entries) == oracles.peel_step(*entries)
-
-
 # ---------------------------------------------------------------------------
 # the trivial units
 
