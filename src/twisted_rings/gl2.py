@@ -13,6 +13,7 @@ graph; the mod-2^k congruence audits count residues.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -319,13 +320,27 @@ def factor_unit(x: TwElement) -> UnitNF:
 
 
 class StallingsGraph:
-    """Folded core graph of a finitely generated subgroup of F(V, W)."""
+    """Folded core graph of a finitely generated subgroup of F(V, W).
+
+    Each word is a loop at vertex 0, one edge per letter.  Every root keeps
+    its outgoing edges by label; two edges with one label out of one root
+    merge their targets (the smaller id survives), and the merged root
+    hands its edges to the survivor.  Each edge is added once and a merge
+    moves at most four labels, so folding E edges takes O(E) find steps.
+    """
 
     _LABELS = ("V", "v", "W", "w")
 
     def __init__(self, words: Iterable[SanovWord]):
         self._parent: list[int] = [0]
-        edges: list[tuple[int, str, int]] = []
+        out: list[dict[str, int]] = [{}]
+        merges: list[tuple[int, int]] = []
+
+        def add_edge(root: int, lab: str, dst: int) -> None:
+            old = out[root].setdefault(lab, dst)
+            if old != dst:
+                merges.append((old, dst))
+
         for word in words:
             cur = 0
             letters = list(word.letters)
@@ -335,12 +350,23 @@ class StallingsGraph:
                     nxt = 0
                 else:
                     self._parent.append(len(self._parent))
+                    out.append({})
                     nxt = len(self._parent) - 1
-                edges.append((cur, lab, nxt))
+                add_edge(cur, lab, nxt)
+                add_edge(nxt, self._inv(lab), cur)
                 cur = nxt
-        self._edges = edges
-        self.adj: dict[tuple[int, str], int] = {}
-        self._fold()
+        while merges:
+            keep, gone = sorted(map(self._find, merges.pop()))
+            if keep != gone:
+                self._parent[gone] = keep
+                for lab, dst in out[gone].items():
+                    add_edge(keep, lab, dst)
+        self.adj: dict[tuple[int, str], int] = {
+            (v, lab): self._find(dst)
+            for v, edges in enumerate(out)
+            if self._parent[v] == v
+            for lab, dst in edges.items()
+        }
 
     def _find(self, x: int) -> int:
         while self._parent[x] != x:
@@ -348,36 +374,9 @@ class StallingsGraph:
             x = self._parent[x]
         return x
 
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self._parent[rb] = ra
-
     @staticmethod
     def _inv(lab: str) -> str:
         return lab.lower() if lab.isupper() else lab.upper()
-
-    def _fold(self) -> None:
-        while True:
-            adj: dict[tuple[int, str], int] = {}
-            clash = None
-            for s, lab, d in self._edges:
-                rs, rd = self._find(s), self._find(d)
-                for key, dst in (((rs, lab), rd), ((rd, self._inv(lab)), rs)):
-                    old = adj.get(key)
-                    if old is None:
-                        adj[key] = dst
-                    elif old != dst:
-                        clash = (old, dst)
-                        break
-                if clash:
-                    break
-            if clash is None:
-                self.adj = adj
-                return
-            self._union(*clash)
 
     def contains(self, word: SanovWord) -> bool:
         cur = self._find(0)
@@ -490,30 +489,38 @@ class CongruenceReport:
     discrepancies: tuple[str, ...]
 
 
-def _det_residue_counts(depth: int, modulus: int, parity: bool = False) -> list[int]:
+def _det_residue_counts(depth: int, modulus: int, parity: bool = False) -> Counter:
     """How many M = I + 2^depth A mod modulus have each determinant residue,
     A over all residues mod modulus / 2^depth (with parity, only those with
-    A11 = A22 and A12 = A21 mod 2).  At depth 0 M is every matrix mod modulus."""
+    A11 = A22 and A12 = A21 mod 2).  At depth 0 M is every matrix mod modulus.
+
+    det M = M11 M22 - M12 M21, and the diagonal pair ranges independently of
+    the off-diagonal pair, so the counts are the difference convolution of
+    each pair's product counts: exact, with no matrix left out or counted
+    twice.  Each pair takes span^2 products to at most span residues (the
+    diagonal's are 1 and the off-diagonal's 0 mod 2^depth), so the work is
+    O(span^2), against span^4 matrices, for span = modulus / 2^depth."""
     step = 1 << depth
     span = modulus // step
-    counts = [0] * modulus
 
-    def same_parity(a: int) -> range:
-        return range(a % 2, span, 2) if parity else range(span)
+    def products(shift: int) -> Counter:
+        return Counter(
+            (shift + step * x) * (shift + step * y) % modulus
+            for x in range(span)
+            for y in (range(x % 2, span, 2) if parity else range(span))
+        )
 
-    for a11 in range(span):
-        diag = [(1 + step * a11) * (1 + step * a22) for a22 in same_parity(a11)]
-        for a12 in range(span):
-            for a21 in same_parity(a12):
-                off = step * step * a12 * a21
-                for d in diag:
-                    counts[(d - off) % modulus] += 1
+    off = products(0).items()
+    counts: Counter = Counter()
+    for d, n_d in products(1).items():
+        for o, n_o in off:
+            counts[(d - o) % modulus] += n_d * n_o
     return counts
 
 
-def _det_pm1(counts: list[int]) -> int:
+def _det_pm1(counts: Counter, modulus: int) -> int:
     """How many of the counted matrices have determinant +-1."""
-    return sum(counts[r] for r in {1 % len(counts), len(counts) - 1})
+    return sum(counts[r] for r in {1 % modulus, modulus - 1})
 
 
 def congruence_index(max_level: int) -> CongruenceReport:
@@ -531,8 +538,8 @@ def congruence_index(max_level: int) -> CongruenceReport:
     for i in range(1, max_level + 1):
         m = 1 << i
         counts = _det_residue_counts(0, m)
-        total = sum(c for r, c in enumerate(counts) if gcd(r, m) == 1)
-        detpm = _det_pm1(counts)
+        total = sum(c for r, c in counts.items() if gcd(r, m) == 1)
+        detpm = _det_pm1(counts, m)
         published = 6 if i == 1 else 3 * 2 ** (3 * i)
         levels.append(
             CongruenceLevel(
@@ -574,7 +581,7 @@ def count_depth_units_mod(depth: int, modulus: int) -> int:
     """
     if modulus % (2 << depth):
         raise ValueError("modulus must be a multiple of 2^(depth+1)")
-    return _det_pm1(_det_residue_counts(depth, modulus, parity=True))
+    return _det_pm1(_det_residue_counts(depth, modulus, parity=True), modulus)
 
 
 @dataclass(frozen=True)
@@ -612,7 +619,7 @@ def depth_index_audit(max_depth: int = 3) -> DepthIndexAudit:
         big = 1 << (i + 2)
         c_i = count_depth_units_mod(i, big)
         c_next = count_depth_units_mod(i + 1, big)
-        gamma_i = _det_pm1(_det_residue_counts(i, big))
+        gamma_i = _det_pm1(_det_residue_counts(i, big), big)
         if c_i % c_next:
             raise ArithmeticError("containment of congruence sets failed")
         if gamma_i % c_i:

@@ -40,7 +40,6 @@ from .cocycles import (
     Cocycle,
     LinearCharacter,
     anticommuting_pair_cocycle,
-    c2c2_quaternion_cocycle,
     exponent_order,
 )
 from .cyclotomic import (
@@ -821,10 +820,4 @@ def berman_higman_violations(
 def anticommuting_ring(n: int = 0, conductor: int = 2) -> TwRing:
     """Z^alpha[C2^(n+2)] with the canonical anticommuting-pair twist."""
     c = anticommuting_pair_cocycle(n)
-    return TwRing(c.group, c, conductor)
-
-
-def quaternion_twist_ring(conductor: int = 2) -> TwRing:
-    """Z^gamma[C2 x C2] with u_g^2 = u_h^2 = [u_g, u_h] = -1."""
-    c = c2c2_quaternion_cocycle()
     return TwRing(c.group, c, conductor)

@@ -27,8 +27,13 @@ with its four column operations written out by hand, ``trivial_closure``
 the closure of trivial units as (sign, gamma) pairs, and ``cyclic_sum``
 the sum of the powers of u_g up to the first that is 1, as the library
 wrote them before the letters, G_alpha of the model twist and the order
-of u_g replaced them; the other three are small conveniences over the
-library's own constructions.
+of u_g replaced them; ``det_residue_counts_by_enumeration`` counts the
+determinant residues over every matrix, and ``fold_by_restart`` folds a
+Stallings graph by rebuilding its whole map after each merge, as the
+library did before it convolved the two pairs' products and folded with a
+worklist; ``quaternion_twist_ring`` builds a ring that only the tests use;
+the other three are small conveniences over the library's own
+constructions.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from twisted_rings.cocycles import (
     Cocycle,
     LinearCharacter,
     build_G_alpha,
+    c2c2_quaternion_cocycle,
     cocycle_order,
     trivial_cocycle,
 )
@@ -600,3 +606,72 @@ def cyclic_sum(ring: TwRing, g: int) -> TwElement:
         if steps > cap:
             raise ArithmeticError("cyclic sum failed to terminate")
     return total
+
+
+def det_residue_counts_by_enumeration(depth: int, modulus: int, parity: bool = False) -> list[int]:
+    """How many M = I + 2^depth A mod modulus have each determinant residue,
+    A over all residues mod modulus / 2^depth (with parity, only those with
+    A11 = A22 and A12 = A21 mod 2).  At depth 0 M is every matrix mod modulus."""
+    step = 1 << depth
+    span = modulus // step
+    counts = [0] * modulus
+
+    def same_parity(a: int) -> range:
+        return range(a % 2, span, 2) if parity else range(span)
+
+    for a11 in range(span):
+        diag = [(1 + step * a11) * (1 + step * a22) for a22 in same_parity(a11)]
+        for a12 in range(span):
+            for a21 in same_parity(a12):
+                off = step * step * a12 * a21
+                for d in diag:
+                    counts[(d - off) % modulus] += 1
+    return counts
+
+
+def fold_by_restart(edges: Sequence[tuple[int, str, int]]) -> dict[tuple[int, str], int]:
+    """The folded adjacency map of the graph with these labelled edges on
+    vertices 0..max id: merge the targets of the first clash (the smaller
+    id survives), then rebuild the whole map from every edge, until no
+    clash is left."""
+    parent = list(range(1 + max((max(s, d) for s, _, d in edges), default=0)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    def inv(lab: str) -> str:
+        return lab.lower() if lab.isupper() else lab.upper()
+
+    while True:
+        adj: dict[tuple[int, str], int] = {}
+        clash = None
+        for s, lab, d in edges:
+            rs, rd = find(s), find(d)
+            for key, dst in (((rs, lab), rd), ((rd, inv(lab)), rs)):
+                old = adj.get(key)
+                if old is None:
+                    adj[key] = dst
+                elif old != dst:
+                    clash = (old, dst)
+                    break
+            if clash:
+                break
+        if clash is None:
+            return adj
+        union(*clash)
+
+
+def quaternion_twist_ring(conductor: int = 2) -> TwRing:
+    """Z^gamma[C2 x C2] with u_g^2 = u_h^2 = [u_g, u_h] = -1."""
+    c = c2c2_quaternion_cocycle()
+    return TwRing(c.group, c, conductor)

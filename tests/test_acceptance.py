@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import enumerate_units_bounded, g_alpha_order_histogram, reduced_words
+from oracles import enumerate_units_bounded, g_alpha_order_histogram, quaternion_twist_ring, reduced_words
 from twisted_rings.cocycles import (
     are_cohomologous,
     c2c2_matrix_cocycle,
@@ -45,7 +45,6 @@ from twisted_rings.rings import (
     conj_character,
     cyclic_sum,
     is_unit,
-    quaternion_twist_ring,
     torsion_order,
 )
 from twisted_rings.tower import (

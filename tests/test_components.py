@@ -26,7 +26,7 @@ from twisted_rings.groups import (
     elementary_abelian_2,
     quaternion8,
 )
-from oracles import det_solve, matrix_order
+from oracles import det_solve, matrix_order, quaternion_twist_ring
 from twisted_rings import extensions, rings
 from twisted_rings.rings import (
     TwElement,
@@ -35,7 +35,6 @@ from twisted_rings.rings import (
     anticommuting_ring,
     is_unit,
     is_unit_coords,
-    quaternion_twist_ring,
     regular_rep,
     unit_order,
 )

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CycTupleElement
+from oracles import CycTupleElement, quaternion_twist_ring
 from twisted_rings.cocycles import trivial_cocycle
 from twisted_rings.cyclotomic import PHI_DEGREE, SUPPORTED_CONDUCTORS, CycInt
 from twisted_rings.groups import cyclic
-from twisted_rings.rings import TwElement, TwRing, quaternion_twist_ring
+from twisted_rings.rings import TwElement, TwRing
 
 RINGS = [TwRing(cyclic(3), trivial_cocycle(cyclic(3), 1), c) for c in SUPPORTED_CONDUCTORS] + [
     quaternion_twist_ring(c) for c in SUPPORTED_CONDUCTORS if c % 2 == 0

@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from oracles import quaternion_twist_ring
 from twisted_rings import gl2
 from twisted_rings.cocycles import (
     Cocycle,
@@ -25,7 +26,6 @@ from twisted_rings.extensions import psi_multiplicative_on_basis
 from twisted_rings.rings import (
     TwRing,
     anticommuting_ring,
-    quaternion_twist_ring,
     small_support_elements,
     unit_order,
 )

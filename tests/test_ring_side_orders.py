@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly, det_solve, matrix_order
+from oracles import charpoly, det_solve, matrix_order, quaternion_twist_ring
 from test_components import RINGS, elements, ring_named
 from twisted_rings import rings
 from twisted_rings.cocycles import trivial_cocycle
@@ -34,7 +34,6 @@ from twisted_rings.rings import (
     _rep_matrix,
     _small_supports,
     anticommuting_ring,
-    quaternion_twist_ring,
     regular_rep,
     torsion_units_bounded,
     unit_order_coords,

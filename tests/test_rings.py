@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import enumerate_units_bounded
+from oracles import enumerate_units_bounded, quaternion_twist_ring
 from twisted_rings.cocycles import trivial_cocycle
 from twisted_rings.cyclotomic import CycInt
 from twisted_rings.groups import cyclic, element_order, elementary_abelian_2
@@ -18,7 +18,6 @@ from twisted_rings.rings import (
     element_from_json,
     is_unit,
     partition_by_self_twist,
-    quaternion_twist_ring,
     regular_rep,
     torsion_order,
 )

@@ -33,9 +33,9 @@ from twisted_rings.groups import (
     quaternion8,
     subgroup_closure,
 )
-from oracles import center, det_solve
+from oracles import center, det_solve, quaternion_twist_ring
 from twisted_rings.intmat import det_bareiss, solve_exact
-from twisted_rings.rings import TwElement, TwRing, quaternion_twist_ring, regular_rep
+from twisted_rings.rings import TwElement, TwRing, regular_rep
 from twisted_rings.units import decide_finiteness
 
 # ---------------------------------------------------------------------------

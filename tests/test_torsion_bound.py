@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quaternion_twist_ring
 from twisted_rings import rings
 from twisted_rings.d8_case import build_d8_psi
 from twisted_rings.rings import (
@@ -23,7 +24,6 @@ from twisted_rings.rings import (
     _small_supports,
     anticommuting_ring,
     is_torsion_unit_coords,
-    quaternion_twist_ring,
     torsion_units_bounded,
     unit_order_coords,
 )

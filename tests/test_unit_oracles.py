@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quaternion_twist_ring
 from twisted_rings.cli import EXIT_OK, run
 from twisted_rings.cocycles import trivial_cocycle
 from twisted_rings.cyclotomic import PHI_DEGREE, CycInt, euler_phi
@@ -28,7 +29,6 @@ from twisted_rings.rings import (
     TwRing,
     anticommuting_ring,
     is_unit,
-    quaternion_twist_ring,
     regular_rep,
     torsion_order,
 )

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import enumerate_units_bounded
+from oracles import enumerate_units_bounded, quaternion_twist_ring
 from twisted_rings.cocycles import Cocycle, trivial_cocycle
 from twisted_rings.d8_case import build_d8_psi
 from twisted_rings.groups import cyclic, elementary_abelian_2, quaternion8
@@ -8,7 +8,6 @@ from twisted_rings.rings import (
     TwRing,
     anticommuting_ring,
     is_unit,
-    quaternion_twist_ring,
     torsion_order,
 )
 from twisted_rings.units import (
