@@ -32,8 +32,15 @@ determinant residues over every matrix, and ``fold_by_restart`` folds a
 Stallings graph by rebuilding its whole map after each merge, as the
 library did before it convolved the two pairs' products and folded with a
 worklist; ``quaternion_twist_ring`` builds a ring that only the tests use;
-the other three are small conveniences over the library's own
-constructions.
+``quaternion8_from_names`` builds Q8 from a table of its unit products,
+``_PHI`` lists the cyclotomic polynomials of the supported conductors,
+``reduce_by_table`` reduces modulo one of them, ``exact_quotient`` divides
+by a monic polynomial when the division is exact, and
+``d8_extension_by_bits`` builds the section of D8 x C2^n from the bits of
+the product's ids, as the library did before Q8 came from the quaternion
+relations, Phi_m and polynomial division were written once, and the
+section came from mu; the other three are small conveniences over the
+library's own constructions.
 """
 
 from __future__ import annotations
@@ -67,15 +74,19 @@ from twisted_rings.gl2 import (
     phi_model_inverse,
     subgroup_from_generators,
 )
-from twisted_rings.extensions import KernelFiniteness, PsiMap
+from twisted_rings.extensions import ExtensionData, KernelFiniteness, PsiMap, build_extension
 from twisted_rings.groups import (
     FiniteGroup,
     GroupHom,
+    _package,
     centralizer,
+    dihedral8_times_c2n,
     element_order,
+    elementary_abelian_2,
     exponent,
     is_abelian,
     is_hamiltonian_2group,
+    hom_from_gen_images,
     order_histogram,
 )
 from twisted_rings.intmat import identity_matrix, mat_pow
@@ -675,3 +686,116 @@ def quaternion_twist_ring(conductor: int = 2) -> TwRing:
     """Z^gamma[C2 x C2] with u_g^2 = u_h^2 = [u_g, u_h] = -1."""
     c = c2c2_quaternion_cocycle()
     return TwRing(c.group, c, conductor)
+
+
+def quaternion8_from_names() -> FiniteGroup:
+    """Q8 = {+-1, +-i, +-j, +-k} with ids 0..7 = 1,-1,i,-i,j,-j,k,-k."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+
+    def unit_mul(u: str, v: str) -> tuple[int, str]:
+        tbl = {
+            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
+            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
+            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
+            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
+            ("i", "k"): (-1, "j"),
+        }
+        return tbl[(u, v)]
+
+    def decode(x: int) -> tuple[int, str]:
+        sign = -1 if x % 2 else 1
+        sym = ["1", "i", "j", "k"][x // 2]
+        return sign, sym
+
+    def encode(sign: int, sym: str) -> int:
+        return 2 * ["1", "i", "j", "k"].index(sym) + (0 if sign == 1 else 1)
+
+    mul = []
+    for x in range(8):
+        s1, u1 = decode(x)
+        row = []
+        for y in range(8):
+            s2, u2 = decode(y)
+            s3, u3 = unit_mul(u1, u2)
+            row.append(encode(s1 * s2 * s3, u3))
+        mul.append(row)
+    return _package(mul, names, "Q8", {"i": 2, "j": 4})
+
+
+# Phi_m as ascending coefficient tuples (monic).
+_PHI = {
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    6: (1, -1, 1),
+    8: (1, 0, 0, 0, 1),
+    12: (1, 0, -1, 0, 1),
+    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
+}
+
+
+def reduce_by_table(coeffs: list[int], m: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial modulo the monic Phi_m."""
+    phi = _PHI[m]
+    deg = len(phi) - 1
+    work = list(coeffs)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j, p in enumerate(phi):
+                work[i - deg + j] -= c * p
+    work = work[:deg]
+    work += [0] * (deg - len(work))
+    return tuple(work)
+
+
+def exact_quotient(poly: list[int], monic: Sequence[int]) -> list[int] | None:
+    """poly / monic (ascending coefficients) when the division is exact."""
+    deg = len(monic) - 1
+    rest = list(poly)
+    quot = [0] * (len(poly) - deg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rest[i + deg]
+        if c:
+            quot[i] = c
+            for j, v in enumerate(monic):
+                rest[i + j] -= c * v
+    return None if any(rest[:deg]) else quot
+
+
+def d8_extension_by_bits(n: int) -> ExtensionData:
+    """The extension with the section that reproduces the model twist.
+
+    The quotient is presented as C2^(n+2) = <g, h, x_1..x_n> via a -> gh,
+    b -> g, y_i -> x_i.  The section mu(g) = b, mu(h) = ab, mu(gh) = a^-1,
+    extended multiplicatively over the y_i, makes the sign character
+    transgress to exactly the matrix-model cocycle table.
+    """
+    if n > (cap := CAPS.get().case_level):
+        raise CapExceededError(f"case study level {n} exceeds cap {cap}")
+    gamma = dihedral8_times_c2n(n)
+    target = elementary_abelian_2(n + 2)
+    ycount = n
+    a_sq = 2 << ycount  # D8 element a^2 paired with trivial y-part
+    images = {
+        1 << ycount: 3,  # a -> gh
+        4 << ycount: 1,  # b -> g
+    }
+    for i in range(1, n + 1):
+        images[1 << (n - i)] = 1 << (i + 1)  # y_i -> x_i
+    proj = hom_from_gen_images(gamma, target, images)
+    section = []
+    d8_part = {(0, 0): 0, (1, 0): 4, (0, 1): 5, (1, 1): 3}  # 1, b, ab, a^3
+    for gid in range(1 << (n + 2)):
+        e_g = gid & 1
+        e_h = (gid >> 1) & 1
+        ybits = gid >> 2
+        top = d8_part[(e_g, e_h)]
+        low = 0
+        for i in range(n):
+            if (ybits >> i) & 1:
+                low |= 1 << (n - 1 - i)
+        section.append((top << ycount) | low)
+    return build_extension(gamma, {0, a_sq}, section_map=section, proj=proj)
