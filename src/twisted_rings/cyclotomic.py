@@ -1,9 +1,10 @@
 """Exact arithmetic in Z[zeta_m] for conductors dividing 24.
 
-Elements are integer vectors in the power basis of Z[x]/Phi_m(x); the
-cyclotomic polynomials of the supported conductors are hardcoded.  Any other
-Phi_k is built on demand, only to split integer polynomials into cyclotomic
-factors (Kronecker's test).  No floating point is used anywhere.
+Elements are integer vectors in the power basis of Z[x]/Phi_m(x).  Every
+Phi_k, those of the supported conductors and those that split integer
+polynomials into cyclotomic factors (Kronecker's test), comes from one
+routine: x^k - 1 divided by Phi_d for each proper divisor d of k.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,20 +17,6 @@ from typing import Sequence
 from .errors import CAPS, CapExceededError
 
 SUPPORTED_CONDUCTORS = (1, 2, 3, 4, 6, 8, 12, 24)
-
-# Phi_m as ascending coefficient tuples (monic).
-_PHI = {
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    6: (1, -1, 1),
-    8: (1, 0, 0, 0, 1),
-    12: (1, 0, -1, 0, 1),
-    24: (1, 0, 0, 0, -1, 0, 0, 0, 1),
-}
-
-PHI_DEGREE = {m: len(p) - 1 for m, p in _PHI.items()}
 
 
 def euler_phi(n: int) -> int:
@@ -47,10 +34,11 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _exact_quotient(poly: list[int], monic: Sequence[int]) -> list[int] | None:
-    """poly / monic (ascending coefficients) when the division is exact."""
+def _divmod(poly: Sequence[int], monic: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of poly by a monic polynomial (ascending
+    coefficients); the remainder has length deg(monic)."""
     deg = len(monic) - 1
-    rest = list(poly)
+    rest = list(poly) + [0] * (deg - len(poly))
     quot = [0] * (len(poly) - deg)
     for i in range(len(quot) - 1, -1, -1):
         c = rest[i + deg]
@@ -58,7 +46,7 @@ def _exact_quotient(poly: list[int], monic: Sequence[int]) -> list[int] | None:
             quot[i] = c
             for j, v in enumerate(monic):
                 rest[i + j] -= c * v
-    return None if any(rest[:deg]) else quot
+    return quot, rest[:deg]
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +56,14 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            poly = _exact_quotient(poly, cyclotomic_polynomial(d))
+            poly = _divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
+
+
+# Phi_m as ascending coefficient tuples (monic).
+_PHI = {m: cyclotomic_polynomial(m) for m in SUPPORTED_CONDUCTORS}
+
+PHI_DEGREE = {m: len(p) - 1 for m, p in _PHI.items()}
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +92,10 @@ def cyclotomic_factors(poly: Sequence[int]) -> dict[int, int] | None:
     for k, phi in _cyclotomic_up_to(len(poly) - 1):
         if len(rest) == 1:
             break
-        while len(phi) <= len(rest) and (q := _exact_quotient(rest, phi)) is not None:
+        while len(phi) <= len(rest):
+            q, r = _divmod(rest, phi)
+            if any(r):
+                break
             rest = q
             found[k] = found.get(k, 0) + 1
     return found if len(rest) == 1 else None
@@ -113,17 +110,7 @@ def _check_conductor(m: int) -> None:
 
 def _reduce(coeffs: list[int], m: int) -> tuple[int, ...]:
     """Reduce an integer polynomial modulo the monic Phi_m."""
-    phi = _PHI[m]
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, p in enumerate(phi):
-                work[i - deg + j] -= c * p
-    work = work[:deg]
-    work += [0] * (deg - len(work))
-    return tuple(work)
+    return tuple(_divmod(coeffs, _PHI[m])[1])
 
 
 @dataclass(frozen=True)
@@ -244,15 +231,13 @@ class CycInt:
             other = CycInt.integer(other, self.m)
         if not isinstance(other, CycInt):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except (CapExceededError, ValueError):
-            return False
-        return a.coeffs == b.coeffs
+        if self.m == other.m:
+            return self.coeffs == other.coeffs
+        # every supported conductor divides 24, so Z[zeta_24] holds both,
+        # whatever the conductor cap; __hash__ reads the same form
+        return self.embed(24).coeffs == other.embed(24).coeffs
 
     def __hash__(self) -> int:
-        # every supported conductor divides 24, so the embedding into
-        # Z[zeta_24] is a canonical form shared by equal elements
         return hash(self.embed(24).coeffs)
 
     def is_zero(self) -> bool:

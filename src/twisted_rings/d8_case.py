@@ -111,36 +111,25 @@ def d8_extension(n: int) -> ExtensionData:
     """The extension with the section that reproduces the model twist.
 
     The quotient is presented as C2^(n+2) = <g, h, x_1..x_n> via a -> gh,
-    b -> g, y_i -> x_i.  The section mu(g) = b, mu(h) = ab, mu(gh) = a^-1,
-    extended multiplicatively over the y_i, makes the sign character
-    transgress to exactly the matrix-model cocycle table.
+    b -> g, y_i -> x_i, with kernel {1, a^2}.  The section mu(1) = 1,
+    mu(g) = b, mu(h) = ab, mu(gh) = a^-1, extended by mu(q x_i) = mu(q) y_i,
+    makes the sign character transgress to exactly the matrix-model cocycle
+    table.
     """
     if n > (cap := CAPS.get().case_level):
         raise CapExceededError(f"case study level {n} exceeds cap {cap}")
     gamma = dihedral8_times_c2n(n)
     target = elementary_abelian_2(n + 2)
-    ycount = n
-    a_sq = 2 << ycount  # D8 element a^2 paired with trivial y-part
-    images = {
-        1 << ycount: 3,  # a -> gh
-        4 << ycount: 1,  # b -> g
-    }
-    for i in range(1, n + 1):
-        images[1 << (n - i)] = 1 << (i + 1)  # y_i -> x_i
-    proj = hom_from_gen_images(gamma, target, images)
-    section = []
-    d8_part = {(0, 0): 0, (1, 0): 4, (0, 1): 5, (1, 1): 3}  # 1, b, ab, a^3
-    for gid in range(1 << (n + 2)):
-        e_g = gid & 1
-        e_h = (gid >> 1) & 1
-        ybits = gid >> 2
-        top = d8_part[(e_g, e_h)]
-        low = 0
-        for i in range(n):
-            if (ybits >> i) & 1:
-                low |= 1 << (n - 1 - i)
-        section.append((top << ycount) | low)
-    return build_extension(gamma, {0, a_sq}, section_map=section, proj=proj)
+    gm, tm = gamma.mul, target.mul
+    a, b = gamma.generators["a"], gamma.generators["b"]
+    g, h = target.generators["g"], target.generators["h"]
+    ys = {gamma.generators[f"y{i}"]: target.generators[f"x{i}"] for i in range(1, n + 1)}
+    proj = hom_from_gen_images(gamma, target, {a: tm[g][h], b: g, **ys})
+    mu = {0: 0, g: b, h: gm[a][b], tm[g][h]: gamma.inv[a]}
+    for y, x in ys.items():
+        mu.update({tm[q][x]: gm[p][y] for q, p in mu.items()})
+    section = [mu[q] for q in target.elements()]
+    return build_extension(gamma, {0, gm[a][a]}, section_map=section, proj=proj)
 
 
 def sign_character(ext: ExtensionData) -> LinearCharacter:

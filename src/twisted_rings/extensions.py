@@ -74,11 +74,13 @@ def build_extension(
     """Build extension data over a normal subgroup.
 
     The quotient defaults to the canonical one (cosets numbered by least
-    representative); passing an explicit surjection with the same kernel
-    fixes a preferred presentation of the quotient instead.  The default
-    section picks the least preimage of each quotient element; an explicit
-    section_map (quotient id -> total id), checked here, may be supplied to
-    reproduce a particular labelling.
+    representative); passing an explicit surjective homomorphism with the
+    same kernel fixes a preferred presentation of the quotient instead.  The
+    default section picks the least preimage of each quotient element; an
+    explicit section_map (quotient id -> total id), checked here, may be
+    supplied to reproduce a particular labelling.  The factor set needs no
+    check: proj is a homomorphism with kernel N and mu a section of it, so
+    mu(a) mu(b) mu(ab)^-1 maps to 1 and lies in N.
     """
     nset = frozenset(sub_ids)
     if proj is None:
@@ -100,26 +102,16 @@ def build_extension(
     else:
         section = tuple(section_map)
         validate_section(proj, section)
-    mul = total.mul
-    inv = total.inv
-    alpha_rows = []
-    for a in q.elements():
-        row = []
-        for b in q.elements():
-            val = mul[mul[section[a]][section[b]]][inv[section[q.mul[a][b]]]]
-            if val not in sub_index:
-                raise ValueError("factor set leaves the kernel; section is invalid")
-            row.append(sub_index[val])
-        alpha_rows.append(tuple(row))
-    sigma_rows = []
-    for g in q.elements():
-        mu_g = section[g]
-        perm = []
-        for i in range(sub_group.order):
-            n = embed.map[i]
-            conj = mul[mul[mu_g][n]][inv[mu_g]]
-            perm.append(sub_index[conj])
-        sigma_rows.append(tuple(perm))
+    mul, inv = total.mul, total.inv
+    # mu(a) mu(b) mu(ab)^-1, and n -> mu(g) n mu(g)^-1 on the kernel
+    alpha_sub = tuple(
+        tuple(
+            sub_index[mul[mul[section[a]][section[b]]][inv[section[q.mul[a][b]]]]]
+            for b in q.elements()
+        )
+        for a in q.elements()
+    )
+    sigma = tuple(tuple(sub_index[mul[mul[mu][n]][inv[mu]]] for n in embed.map) for mu in section)
     central = all(
         total.mul[n][x] == total.mul[x][n]
         for n in nset
@@ -134,8 +126,8 @@ def build_extension(
         sub_group=sub_group,
         sub_embed=embed.map,
         sub_index=sub_index,
-        alpha_sub=tuple(alpha_rows),
-        sigma=tuple(sigma_rows),
+        alpha_sub=alpha_sub,
+        sigma=sigma,
         is_central=central,
     )
 

@@ -172,37 +172,25 @@ def dihedral8() -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    """Q8 = {+-1, +-i, +-j, +-k} with ids 0..7 = 1,-1,i,-i,j,-j,k,-k."""
+    """Q8 = {+-1, +-i, +-j, +-k} with ids 0..7 = 1,-1,i,-i,j,-j,k,-k.
+
+    Id 2s + e is (-1)^e times unit s of 1, i, j, k.  For s, t in {i, j, k},
+    s s = -1, and otherwise s t = +-(s xor t), with + exactly when t follows
+    s in the cycle i -> j -> k.
+    """
+
+    def product(x: int, y: int) -> int:
+        s, t = x // 2, y // 2
+        if s == t:
+            e, u = int(s > 0), 0
+        elif s == 0 or t == 0:
+            e, u = 0, s | t
+        else:
+            e, u = int(t != s % 3 + 1), s ^ t
+        return 2 * u + (x + y + e) % 2
+
+    mul = [[product(x, y) for y in range(8)] for x in range(8)]
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def unit_mul(u: str, v: str) -> tuple[int, str]:
-        tbl = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        return tbl[(u, v)]
-
-    def decode(x: int) -> tuple[int, str]:
-        sign = -1 if x % 2 else 1
-        sym = ["1", "i", "j", "k"][x // 2]
-        return sign, sym
-
-    def encode(sign: int, sym: str) -> int:
-        return 2 * ["1", "i", "j", "k"].index(sym) + (0 if sign == 1 else 1)
-
-    mul = []
-    for x in range(8):
-        s1, u1 = decode(x)
-        row = []
-        for y in range(8):
-            s2, u2 = decode(y)
-            s3, u3 = unit_mul(u1, u2)
-            row.append(encode(s1 * s2 * s3, u3))
-        mul.append(row)
     return _package(mul, names, "Q8", {"i": 2, "j": 4})
 
 

@@ -317,12 +317,14 @@ class TwElement:
 
 
 def element_from_json(ring: TwRing, data: dict) -> TwElement:
-    """Read {"coeffs": [{"g": id, "m": m, "c": [ints]}, ...]}, range-checked."""
+    """Read {"coeffs": [{"g": id, "m": m, "c": [ints]}, ...]}; each id in range, once."""
     coeffs = {}
     for e in data["coeffs"]:
         g = exact_int(e["g"], "element id")
         if not 0 <= g < ring.group.order:
             raise ValueError(f"element id {g} out of range 0..{ring.group.order - 1}")
+        if g in coeffs:
+            raise ValueError(f"element id {g} given twice")
         c = tuple(exact_int(v, "coefficient") for v in e["c"])
         m = exact_int(e["m"], "coefficient conductor")
         if m not in SUPPORTED_CONDUCTORS:

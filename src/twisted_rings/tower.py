@@ -170,7 +170,8 @@ def random_unit(ctx: TowerContext, level: int, rng: random.Random, length: int =
 
 
 def _random_unipotent(ring: TwRing, rng: random.Random) -> TwElement:
-    """1 + z u_h s_g for a random anticommuting pair, or 1 when none exists."""
+    """u = 1 + z u_h s_g for a random anticommuting pair, or its inverse 2 - u
+    (twisted_bicyclic certified (z u_h s_g)^2 = 0), or 1 when no pair exists."""
     n = ring.group.order
     candidates = []
     for g in range(1, n):
@@ -186,4 +187,4 @@ def _random_unipotent(ring: TwRing, rng: random.Random) -> TwElement:
         return ring.one()
     g, h = candidates[rng.randrange(len(candidates))]
     u = minimal_twisted_bicyclic(ring, g, h)
-    return u if rng.randrange(2) else is_unit(u)
+    return u if rng.randrange(2) else 2 - u

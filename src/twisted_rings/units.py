@@ -210,20 +210,16 @@ def generalized_bicyclic(
     """b(x, f) = 1 + n_f^2 (1-f) x f and b(f, x) = 1 + n_f^2 f x (1-f).
 
     With f = num/den in lowest terms, n_f = den and the products collapse to
-    integral elements (den - num) x num and num x (den - num).
+    integral elements (den - num) x num and num x (den - num).  Both square
+    to zero without a check: RationalIdempotent checked num^2 = den num, so
+    num (den - num) = 0 sits in the middle of each square.
     """
     ring = x.ring
     if f.numerator.ring != ring:
         raise ValueError("idempotent and element live in different rings")
-    den = f.denominator
-    num = f.numerator
+    num, den = f.numerator, f.denominator
     co = ring.one() * den - num
-    inc1 = co * x * num
-    inc2 = num * x * co
-    for inc in (inc1, inc2):
-        if inc * inc != ring.zero():
-            raise ArithmeticError("generalized bicyclic increment not square-zero")
-    return ring.one() + inc1, ring.one() + inc2
+    return ring.one() + co * x * num, ring.one() + num * x * co
 
 
 # ---------------------------------------------------------------------------
