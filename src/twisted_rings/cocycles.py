@@ -257,6 +257,15 @@ def validate_character(chi: LinearCharacter) -> None:
                 raise ValueError(f"character not multiplicative at ({a},{b})")
 
 
+def _package_character(group: FiniteGroup, modulus: int, values) -> LinearCharacter:
+    """A character that is a homomorphism by construction, marked so that
+    transgress does not walk it again.  The mark lives on this frozen
+    object only: a character made from it by replace is walked."""
+    chi = LinearCharacter(group, modulus, tuple(values))
+    object.__setattr__(chi, "_homomorphism", True)
+    return chi
+
+
 # ---------------------------------------------------------------------------
 # transgression
 
@@ -268,11 +277,14 @@ def transgress(ext: "ExtensionData", chi: LinearCharacter) -> Cocycle:
     quotient group.  chi is checked to be a homomorphism invariant under the
     conjugation action of the quotient (central N always qualifies); then
     alpha(g,h) alpha(gh,k) = ^g alpha(h,k) alpha(g,hk) in Gamma makes the
-    table a cocycle, and mu(1) = 1 makes it normalized, unchecked.
+    table a cocycle, and mu(1) = 1 makes it normalized, unchecked.  A
+    character _package_character built is a homomorphism by construction
+    and only its invariance is checked.
     """
     if chi.group != ext.sub_group:
         raise ValueError("character is not defined on the extension kernel")
-    validate_character(chi)
+    if not getattr(chi, "_homomorphism", False):
+        validate_character(chi)
     for gid, perm in enumerate(ext.sigma):
         for n in range(ext.sub_group.order):
             if chi.values[perm[n]] != chi.values[n]:

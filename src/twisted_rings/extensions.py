@@ -15,11 +15,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .cocycles import (
     Cocycle,
     LinearCharacter,
+    _package_character,
     build_G_alpha,
     inflate,
     transgress,
@@ -63,6 +65,12 @@ class ExtensionData:
         mu_g = self.section[g]
         n = self.total.mul[gamma][self.total.inv[mu_g]]
         return self.sub_index[n], g
+
+    @cached_property
+    def _decomposed(self) -> tuple[tuple[int, int], ...]:
+        """decompose(gamma) for every gamma, read once per extension by the
+        maps of all its characters."""
+        return tuple(map(self.decompose, self.total.elements()))
 
 
 def build_extension(
@@ -200,7 +208,9 @@ def build_psi(
     beta is a cocycle on the quotient (default trivial); the source ring is
     twisted by its inflation, the target by beta * T(chi).  A caller that
     already holds that source ring may pass it, and it is used as it is.
-    transgress checks that chi is an invariant homomorphism.
+    transgress checks that chi is an invariant homomorphism.  The
+    decomposition gamma = n mu(g), which does not depend on chi, is read
+    once per extension.
     """
     if chi.group != ext.sub_group:
         raise ValueError("character must live on the extension kernel")
@@ -211,11 +221,11 @@ def build_psi(
         raise ValueError("beta must be a cocycle on the quotient group")
     t_chi = transgress(ext, chi)
     m_t = lcm(beta.modulus, t_chi.modulus)
-    beta_s = beta.rescaled(m_t)
-    t_s = t_chi.rescaled(m_t)
+    # beta and T(chi) with their exponents rescaled to mu_(m_t)
+    f_beta, f_chi = m_t // beta.modulus, m_t // t_chi.modulus
     target_table = tuple(
-        tuple((beta_s.table[a][b] + t_s.table[a][b]) % m_t for b in g.elements())
-        for a in g.elements()
+        tuple((b * f_beta + t * f_chi) % m_t for b, t in zip(b_row, t_row))
+        for b_row, t_row in zip(beta.table, t_chi.table)
     )
     target_cocycle = Cocycle(g, m_t, target_table)
     src_conductor = _fit_conductor(lcm(conductor or 1, beta.modulus))
@@ -223,17 +233,12 @@ def build_psi(
     if source is None:
         source = TwRing(ext.total, inflate(beta, ext.proj), src_conductor)
     target = TwRing(g, target_cocycle, tgt_conductor)
-    images = []
-    for gamma in ext.total.elements():
-        n_id, gq = ext.decompose(gamma)
-        exp = chi.values[n_id] * m_t // chi.modulus
-        images.append((gq, exp % m_t if m_t > 1 else 0))
     return PsiMap(
         ext=ext,
         chi=chi,
         source=source,
         target=target,
-        gamma_images=tuple(images),
+        gamma_images=tuple((gq, chi.values[n] * f_chi % m_t) for n, gq in ext._decomposed),
     )
 
 
@@ -277,22 +282,41 @@ def quotient_multiplicative(psi: PsiMap) -> bool:
 def twist_exponents_multiplicative(psi: PsiMap) -> bool:
     """Whether s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y))
     modulo c_t for every basis pair, the other half of
-    psi_multiplicative_on_basis."""
+    psi_multiplicative_on_basis.
+
+    A row x is checked at once, on integers that hold one byte per y.  With
+    every term reduced mod c_t <= 24, the bytes of
+    s(x,y) c_t/c_s + e(xy) + 3 c_t - (t(q(x), q(y)) + e(y)) - e(x) lie in
+    [0, 5 c_t) whatever the terms, so the sum of the packed rows neither
+    carries nor borrows, and the row holds exactly when each byte is 0 mod
+    c_t.
+    """
     src, tgt = psi.source, psi.target
     c_t = tgt.conductor
     step = c_t // src.conductor
     rs = c_t // tgt.cocycle.modulus
-    tw_s, tw_t = src.structure[2], tgt.structure[2]
+    n = src.group.order
     q = [g for g, _ in psi.gamma_images]
-    e = [exp * rs for _, exp in psi.gamma_images]
-    # t(g, q(y)) + e(y) for every y, one row per quotient element g
-    rhs = [[trow[gy] + ey for gy, ey in zip(q, e)] for trow in tw_t]
-    for x, row in enumerate(src.group.mul):
-        ex = e[x]
-        for s, xy, r in zip(tw_s[x], row, rhs[q[x]]):
-            if (s * step + e[xy] - ex - r) % c_t:
-                return False
+    e = bytes(exp * rs % c_t for _, exp in psi.gamma_images)
+    ones = _packed(b"\1" * n)
+    # t(g, q(y)) + e(y) - 3 c_t for every y, one row per quotient element g
+    rhs = [
+        _packed(bytes(map(trow.__getitem__, q))) + _packed(e) - 3 * c_t * ones
+        for trow in tgt.structure[2]
+    ]
+    residue, zero = bytes(b % c_t for b in range(256)), bytes(n)
+    for x, (s_row, row) in enumerate(zip(src.structure[2], src.group.mul)):
+        # itemgetter of one index returns the item, and e(1 1) is e itself
+        e_row = bytes(itemgetter(*row)(e)) if n > 1 else e
+        lhs = _packed(bytes(s_row)) * step + _packed(e_row)
+        if (lhs - rhs[q[x]] - e[x] * ones).to_bytes(n, "little").translate(residue) != zero:
+            return False
     return True
+
+
+def _packed(row: bytes) -> int:
+    """The integer whose little-endian bytes are row."""
+    return int.from_bytes(row, "little")
 
 
 def twist_exponents_add(psi: PsiMap, first: PsiMap, second: PsiMap, one: PsiMap) -> bool:
@@ -489,8 +513,9 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
 
 def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
     """All homomorphisms group -> mu_modulus (full dual when exp | modulus),
-    built correct, so not checked: each step extends every character of H
-    to H<x> by chi(h x^j) = chi(h) + j t, over the t with r t = chi(x^r)."""
+    built correct, so not checked here or by transgress: each step extends
+    every character of H to H<x> by chi(h x^j) = chi(h) + j t, over the t
+    with r t = chi(x^r)."""
     if not is_abelian(group):
         raise ValueError("linear characters require an abelian group")
     n = group.order
@@ -521,7 +546,7 @@ def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
         new_elems = [mul[h][xj] for xj in powers for h in covered]
         covered.extend(new_elems)
         in_sub.update(new_elems)
-    return [LinearCharacter(group, modulus, vals) for vals in sorted(chars)]
+    return [_package_character(group, modulus, vals) for vals in sorted(chars)]
 
 
 def galois_orbits(

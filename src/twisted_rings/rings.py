@@ -30,7 +30,7 @@ callers that never read the inverse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
@@ -116,19 +116,30 @@ class TwRing:
         Q R^alpha[G] is the direct sum of the targets Q^(alpha_chi)[G/N] of
         the psi_chi.  That is certified here, once per ring, by
         _certify_components.  Empty when N = 1.
+
+        N is found coset by coset: for k in N, kz is a central involution
+        along which the twist is inflated exactly when z is one (z = k kz,
+        alpha(akz, b) = alpha(az, b) and alpha(a, bkz) = alpha(a, bz)), so
+        one check decides the coset of z under the part of N found so far.
+        Equal targets are one TwRing, so each is split and certified once.
         """
         # a late import: extensions imports this module
         from .extensions import build_extension, build_psi, lin_characters
 
         g, table = self.group, self.cocycle.table
         kernel = [0]
+        decided = {0}
         for z in g.elements()[1:]:
+            if z in decided:
+                continue
+            coset = [g.mul[k][z] for k in kernel]
+            decided.update(coset)
             col = tuple(row[z] for row in g.mul)
             if g.mul[z][z] or col != g.mul[z]:
                 continue
             shift = itemgetter(*col)
             if all(table[col[a]] == row and shift(row) == row for a, row in enumerate(table)):
-                kernel.append(z)
+                kernel += coset
         if len(kernel) == 1:
             return ()
         ext = build_extension(g, kernel)
@@ -139,12 +150,13 @@ class TwRing:
             tuple(tuple(table[a][b] for b in sec) for a in sec),
         )
         # beta inflated along ext.proj is the ring's own table
-        psis = tuple(
-            build_psi(ext, chi, beta, self.conductor, source=self)
-            for chi in lin_characters(ext.sub_group, 2)
-        )
+        targets: dict = {}
+        psis = []
+        for chi in lin_characters(ext.sub_group, 2):
+            psi = build_psi(ext, chi, beta, self.conductor, source=self)
+            psis.append(replace(psi, target=targets.setdefault(psi.target, psi.target)))
         _certify_components(self, psis)
-        return psis
+        return tuple(psis)
 
     def zero_coeff(self) -> CycInt:
         return _zero(self.conductor)
@@ -317,9 +329,17 @@ class TwElement:
 
 
 def element_from_json(ring: TwRing, data: dict) -> TwElement:
-    """Read {"coeffs": [{"g": id, "m": m, "c": [ints]}, ...]}; each id in range, once."""
+    """Read {"coeffs": [{"g": id, "m": m, "c": [ints]}, ...]}; each id in
+    range, once.  A missing or malformed field is refused by name."""
+    entries = data.get("coeffs") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('an element must be a JSON object with a "coeffs" list')
     coeffs = {}
-    for e in data["coeffs"]:
+    for i, e in enumerate(entries):
+        if missing := [k for k in ("g", "m", "c") if not isinstance(e, dict) or k not in e]:
+            raise ValueError(f'entry {i} of "coeffs" has no "{missing[0]}" field')
+        if not isinstance(e["c"], list):
+            raise ValueError(f'"c" of entry {i} of "coeffs" must be a list of integers')
         g = exact_int(e["g"], "element id")
         if not 0 <= g < ring.group.order:
             raise ValueError(f"element id {g} out of range 0..{ring.group.order - 1}")
@@ -436,7 +456,11 @@ def _certify_components(ring: TwRing, psis) -> None:
     every basis pair for the trivial chi and a generating set of characters
     and as sums of theirs for the rest.  The targets must have the ring's
     dimension in total, and _lift_sum of the images of every basis vector
-    must be |N| times that vector.  Then the sum of the psi_chi is an
+    must be |N| times that vector.  With gamma = n mu(q) that sum is
+    sum over z in N of (sum over chi of chi(z) chi(n)) zeta^j u_(z mu(q)),
+    and _lifts_back proves it by the orthogonality of the characters,
+    sum over chi of chi(z) chi(n) = |N| if z = n and 0 otherwise, without
+    lifting any vector.  Then the sum of the psi_chi is an
     injective, hence bijective, homomorphism of Q-algebras, so det L_x is
     the product of the determinants of L_psi_chi(x).
     """
@@ -455,15 +479,79 @@ def _certify_components(ring: TwRing, psis) -> None:
         raise ArithmeticError(f"component {bad.chi.values} of {ring!r} is not multiplicative")
     if sum(psi.target.dim for psi in psis) != ring.dim:
         raise ArithmeticError(f"components of {ring!r} do not add up to its dimension")
-    phi, n = PHI_DEGREE[ring.conductor], len(psis)
-    for k in range(ring.dim):
-        xs = [(k // phi, k % phi, 1)]
-        parts = [
-            _coord_list(psi.image_coords(xs), PHI_DEGREE[psi.target.conductor]) for psi in psis
-        ]
-        lifted = _lift_sum(psis, parts)
-        if lifted[k] != n or any(lifted[:k]) or any(lifted[k + 1 :]):
-            raise ArithmeticError(f"components of {ring!r} do not lift back to the ring")
+    if not _lifts_back(ring, psis):
+        raise ArithmeticError(f"components of {ring!r} do not lift back to the ring")
+
+
+def _lifts_back(ring: TwRing, psis) -> bool:
+    """Whether _lift_sum of the images of every basis vector zeta^j u_gamma
+    under the psi_chi in psis is |N| times that vector, lifting none.
+
+    Write gamma = n mu(q).  If psi_chi sends zeta^j u_gamma to
+    chi(n) zeta^j v_q, then since the lift sends zeta^j v_q to
+    sum over z in N of chi(z) zeta^j u_(z mu(q)), the lifted sum is
+
+        sum over z of (sum over chi of chi(z) chi(n)) zeta^j u_(z mu(q)),
+
+    which is |N| zeta^j u_gamma exactly when the inner sum is |N| at z = n
+    and 0 at every other z.  Each psi's lift_terms give its section, the
+    rows of the z in N and the signs chi(z), and the sum holds when
+    1. the +-1 table H of the signs, one row per psi, has H^T H = |N| I;
+    2. every psi reads one section and one N, and (z, q) -> z mu(q) is a
+       bijection N x G -> Gamma, so each gamma has one (n, q);
+    3. every psi sends gamma to q with exponent 0 or c_t/2 of zeta_(c_t),
+       c_t/2 exactly when chi(n) = -1;
+    4. zeta_(c_t)^(j c_t/c_s) and its negative convert back to e_j and
+       -e_j in Z[zeta_(c_s)] through the powers of lift_terms.
+    That reads |Gamma| images per psi and one popcount per pair of columns
+    of H, where lifting every basis vector cost dim |N|^2.
+    """
+    order, phi = ring.group.order, PHI_DEGREE[ring.conductor]
+    section, _, signs = psis[0].lift_terms
+    rows = [row for row, _ in signs]
+    where = {row[mu]: (i, q) for i, row in enumerate(rows) for q, mu in enumerate(section)}
+    if len(psis) != len(rows) or len(where) != order or len(rows) * len(section) != order:
+        return False
+    n_of = [where[gamma][0] for gamma in range(order)]
+    q_of = [where[gamma][1] for gamma in range(order)]
+    # columns[i]: the rows of H, as bits, where chi(z_i) = -1
+    columns = [0] * len(rows)
+    for bit, psi in enumerate(psis):
+        own_section, powers, own_signs = psi.lift_terms
+        c_t = psi.target.conductor
+        step = c_t // psi.source.conductor
+        if (
+            own_section != section
+            or [row for row, _ in own_signs] != rows
+            or not _converts_back(powers, psi.target.structure[1], step, phi)
+        ):
+            return False
+        flips = [sign < 0 for _, sign in own_signs]
+        root_step = c_t // psi.target.cocycle.modulus
+        half = c_t // 2 if c_t % 2 == 0 else -1
+        images = psi.gamma_images
+        if [g for g, _ in images] != q_of or [e * root_step % c_t for _, e in images] != [
+            half if flips[n] else 0 for n in n_of
+        ]:
+            return False
+        for i, flip in enumerate(flips):
+            columns[i] |= flip << bit
+    # H^T H = |N| I: any two columns of H differ in exactly half its rows
+    return all(2 * (a ^ b).bit_count() == len(psis) for a, b in itertools.combinations(columns, 2))
+
+
+def _converts_back(powers, roots, step: int, phi: int) -> bool:
+    """Whether, for every j < phi, the target power-basis vector of
+    zeta_(c_t)^(j step) (roots[j step]) maps through powers to e_j, and
+    that of zeta_(c_t)^(j step + c_t/2) to -e_j when c_t is even."""
+    c_t = len(roots)
+    for j in range(phi):
+        for shift, sign in ((0, 1), (c_t // 2, -1))[: 2 - c_t % 2]:
+            terms = roots[(j * step + shift) % c_t]
+            vec = [sum(v * powers[t][k] for t, v in terms) for k in range(phi)]
+            if vec != [sign * (k == j) for k in range(phi)]:
+                return False
+    return True
 
 
 def is_unit(x: TwElement) -> Optional[TwElement]:

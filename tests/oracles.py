@@ -39,7 +39,11 @@ by a monic polynomial when the division is exact, and
 ``d8_extension_by_bits`` builds the section of D8 x C2^n from the bits of
 the product's ids, as the library did before Q8 came from the quaternion
 relations, Phi_m and polynomial division were written once, and the
-section came from mu; the other three are small conveniences over the
+section came from mu; ``lift_by_basis`` maps every basis vector through
+all the components and lifts it back, and ``twist_exponents_by_pairs``
+walks the twist exponents of a component one basis pair at a time, as the
+library did before character orthogonality certified the lift and the walk
+read a row at once; the other three are small conveniences over the
 library's own constructions.
 """
 
@@ -59,7 +63,7 @@ from twisted_rings.cocycles import (
     cocycle_order,
     trivial_cocycle,
 )
-from twisted_rings.cyclotomic import CycInt, cyclotomic_factors
+from twisted_rings.cyclotomic import PHI_DEGREE, CycInt, cyclotomic_factors
 from twisted_rings.errors import CAPS, CapExceededError
 from twisted_rings.gl2 import (
     _BASIS_IMAGES,
@@ -90,7 +94,7 @@ from twisted_rings.groups import (
     order_histogram,
 )
 from twisted_rings.intmat import identity_matrix, mat_pow
-from twisted_rings.rings import TwElement, TwRing, is_unit
+from twisted_rings.rings import TwElement, TwRing, _coord_list, _lift_sum, is_unit
 from twisted_rings.units import _FIELD_OF, FinitenessVerdict, find_infinite_order_unit
 
 
@@ -799,3 +803,39 @@ def d8_extension_by_bits(n: int) -> ExtensionData:
                 low |= 1 << (n - 1 - i)
         section.append((top << ycount) | low)
     return build_extension(gamma, {0, a_sq}, section_map=section, proj=proj)
+
+
+def lift_by_basis(ring: TwRing, psis) -> None:
+    """Raise unless _lift_sum of the images of every basis vector under the
+    psis is |N| times that vector: the lift check of
+    rings._certify_components, one basis vector at a time."""
+    phi, n = PHI_DEGREE[ring.conductor], len(psis)
+    for k in range(ring.dim):
+        xs = [(k // phi, k % phi, 1)]
+        parts = [
+            _coord_list(psi.image_coords(xs), PHI_DEGREE[psi.target.conductor]) for psi in psis
+        ]
+        lifted = _lift_sum(psis, parts)
+        if lifted[k] != n or any(lifted[:k]) or any(lifted[k + 1 :]):
+            raise ArithmeticError(f"components of {ring!r} do not lift back to the ring")
+
+
+def twist_exponents_by_pairs(psi: PsiMap) -> bool:
+    """Whether s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y))
+    modulo c_t for every basis pair, the other half of
+    psi_multiplicative_on_basis."""
+    src, tgt = psi.source, psi.target
+    c_t = tgt.conductor
+    step = c_t // src.conductor
+    rs = c_t // tgt.cocycle.modulus
+    tw_s, tw_t = src.structure[2], tgt.structure[2]
+    q = [g for g, _ in psi.gamma_images]
+    e = [exp * rs for _, exp in psi.gamma_images]
+    # t(g, q(y)) + e(y) for every y, one row per quotient element g
+    rhs = [[trow[gy] + ey for gy, ey in zip(q, e)] for trow in tw_t]
+    for x, row in enumerate(src.group.mul):
+        ex = e[x]
+        for s, xy, r in zip(tw_s[x], row, rhs[q[x]]):
+            if (s * step + e[xy] - ex - r) % c_t:
+                return False
+    return True

@@ -127,3 +127,23 @@ def test_a_conductor_past_the_cap_is_still_a_cap_error(capsys):
     ring = json.dumps({"cocycle": C2_UNTWISTED, "conductor": 48})
     assert run(["units", "finiteness", ring]) == EXIT_CAP
     assert capsys.readouterr().err == "error: conductor 48 exceeds cap 24\n"
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ('{"coeffs":[{"g":0,"m":2}]}', 'entry 0 of "coeffs" has no "c" field'),
+        ('{"coeffs":[{"g":0,"c":[1]}]}', 'entry 0 of "coeffs" has no "m" field'),
+        ('{"coeffs":{"g":0}}', 'an element must be a JSON object with a "coeffs" list'),
+        ("[1]", 'an element must be a JSON object with a "coeffs" list'),
+    ],
+    ids=["no c", "no m", "coeffs an object", "a list"],
+)
+def test_a_malformed_element_is_refused_by_the_field_it_lacks(capsys, x, message):
+    # these printed Python's own KeyError or TypeError text, such as "error: 'c'"
+    anti = json.dumps({"cocycle": {"builtin": "anticommuting", "n": 1}, "conductor": 2})
+    code = run(["ring", "mul", anti, "--x", x, "--y", '{"coeffs":[]}'])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
