@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 from .cocycles import (
     Cocycle,
     LinearCharacter,
-    _package_character,
     build_G_alpha,
     inflate,
     transgress,
@@ -38,6 +37,7 @@ from .groups import (
     order_histogram,
     quotient,
     subgroup_as_group,
+    subgroup_closure,
     validate_section,
 )
 from .rings import TwElement, TwRing, is_torsion_unit_coords
@@ -71,6 +71,17 @@ class ExtensionData:
         """decompose(gamma) for every gamma, read once per extension by the
         maps of all its characters."""
         return tuple(map(self.decompose, self.total.elements()))
+
+    @cached_property
+    def _sub_generators(self) -> tuple[int, ...]:
+        """A generating set of N, each element outside the span of those
+        before it, so at most log2 |N| of them: transgress reads their rows."""
+        gens, covered = [], {0}
+        for a in self.sub_group.elements():
+            if a not in covered:
+                gens.append(a)
+                covered = subgroup_closure(self.sub_group, gens)
+        return tuple(gens)
 
 
 def build_extension(
@@ -279,17 +290,21 @@ def quotient_multiplicative(psi: PsiMap) -> bool:
     )
 
 
+# the packed rows of twist_exponents_multiplicative hold bytes in [3, 5 c_t - 2]
+assert 5 * max(SUPPORTED_CONDUCTORS) < 256
+
+
 def twist_exponents_multiplicative(psi: PsiMap) -> bool:
     """Whether s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y))
     modulo c_t for every basis pair, the other half of
     psi_multiplicative_on_basis.
 
     A row x is checked at once, on integers that hold one byte per y.  With
-    every term reduced mod c_t <= 24, the bytes of
+    every term reduced mod c_t, the bytes of
     s(x,y) c_t/c_s + e(xy) + 3 c_t - (t(q(x), q(y)) + e(y)) - e(x) lie in
-    [0, 5 c_t) whatever the terms, so the sum of the packed rows neither
-    carries nor borrows, and the row holds exactly when each byte is 0 mod
-    c_t.
+    [3, 5 c_t - 2] whatever the terms, below 256 for every supported c_t,
+    so the sum of the packed rows neither carries nor borrows, and the row
+    holds exactly when each byte is 0 mod c_t.
     """
     src, tgt = psi.source, psi.target
     c_t = tgt.conductor
@@ -513,9 +528,8 @@ def kernel_finiteness_predicate(psi: PsiMap) -> KernelFiniteness:
 
 def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
     """All homomorphisms group -> mu_modulus (full dual when exp | modulus),
-    built correct, so not checked here or by transgress: each step extends
-    every character of H to H<x> by chi(h x^j) = chi(h) + j t, over the t
-    with r t = chi(x^r)."""
+    built correct, so not checked: each step extends every character of H
+    to H<x> by chi(h x^j) = chi(h) + j t, over the t with r t = chi(x^r)."""
     if not is_abelian(group):
         raise ValueError("linear characters require an abelian group")
     n = group.order
@@ -546,7 +560,7 @@ def lin_characters(group: FiniteGroup, modulus: int) -> list[LinearCharacter]:
         new_elems = [mul[h][xj] for xj in powers for h in covered]
         covered.extend(new_elems)
         in_sub.update(new_elems)
-    return [_package_character(group, modulus, vals) for vals in sorted(chars)]
+    return [LinearCharacter(group, modulus, vals) for vals in sorted(chars)]
 
 
 def galois_orbits(

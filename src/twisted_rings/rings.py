@@ -456,11 +456,9 @@ def _certify_components(ring: TwRing, psis) -> None:
     every basis pair for the trivial chi and a generating set of characters
     and as sums of theirs for the rest.  The targets must have the ring's
     dimension in total, and _lift_sum of the images of every basis vector
-    must be |N| times that vector.  With gamma = n mu(q) that sum is
-    sum over z in N of (sum over chi of chi(z) chi(n)) zeta^j u_(z mu(q)),
-    and _lifts_back proves it by the orthogonality of the characters,
-    sum over chi of chi(z) chi(n) = |N| if z = n and 0 otherwise, without
-    lifting any vector.  Then the sum of the psi_chi is an
+    must be |N| times that vector, which _lifts_back checks by the
+    orthogonality of the characters, sum over chi of chi(z) chi(n) =
+    |N| [z = n].  Then the sum of the psi_chi is an
     injective, hence bijective, homomorphism of Q-algebras, so det L_x is
     the product of the determinants of L_psi_chi(x).
     """

@@ -117,6 +117,38 @@ def test_transgress_refuses_a_character_that_is_not_a_homomorphism(
         build_psi(ext, chi)
 
 
+@pytest.mark.parametrize(
+    "name, sub, modulus, homs",
+    [
+        ("C2^3", range(8), 2, 8),
+        ("C4xC2", range(8), 2, 4),
+        ("C4xC2", [0, 2, 4, 6], 4, 4),
+        # Q8 -> mu_2 factors through Q8 / <-1> = C2 x C2
+        ("Q8", range(8), 2, 4),
+    ],
+    ids=["C2^3 mod 2", "C4xC2 mod 2", "C4 mod 4", "Q8 mod 2"],
+)
+def test_transgress_refuses_exactly_the_tables_validate_character_refuses(
+    name, sub, modulus, homs
+):
+    # transgress reads the rows of a generating set of N, validate_character
+    # every pair: every value table of N, one verdict
+    ext = build_extension(GROUPS[name], list(sub))
+    kept = 0
+    for values in itertools.product(range(modulus), repeat=ext.sub_group.order):
+        chi = LinearCharacter(ext.sub_group, modulus, values)
+        try:
+            validate_character(chi)
+        except ValueError as exc:
+            message = "identity to 1" if "identity" in str(exc) else "not multiplicative"
+            with pytest.raises(ValueError, match=message):
+                transgress(ext, chi)
+            continue
+        transgress(ext, chi)
+        kept += 1
+    assert kept == homs
+
+
 def _abelian_groups():
     yield from ((f"C{n}", cyclic(n), (n,)) for n in range(1, 9))
     yield from ((f"C2^{k}", elementary_abelian_2(k), (2,) * k) for k in range(5))
