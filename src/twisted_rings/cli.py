@@ -348,10 +348,16 @@ def _cmd_tower(args, report: Report) -> None:
         base = _load_ring(_load_json_arg(args.ring))
     else:
         base = rings.anticommuting_ring(0)
-    _in_range(args.n, 1, None, "--n")
+    n = _in_range(args.n, 1, None, "--n")
     if args.action == "scan":
-        if _in_range(args.samples, 1, None, "--samples") > (cap := CAPS.get().scan_candidates):
-            raise CapExceededError(f"{args.samples} samples exceed the scan cap {cap}")
+        # samples times the top level's dim, base.dim << n, against the cap;
+        # shifting the cap down keeps a large --n from building a huge int
+        samples = _in_range(args.samples, 1, None, "--samples")
+        if samples * base.dim > (cap := CAPS.get().scan_candidates) >> n:
+            raise CapExceededError(
+                f"{samples} samples at the top level's dim {base.dim} * 2^{n} "
+                f"exceed the scan cap {cap}"
+            )
     else:
         _in_range(args.level, 1, args.n, "--level")
     ctx = tower.build_tower(base, args.n)
@@ -440,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap-word-length", type=int, help="longest enumerated free word"
     )
     common.add_argument(
-        "--cap-scan-candidates", type=int, help="most scan candidates and 'tower scan' samples"
+        "--cap-scan-candidates",
+        type=int,
+        help="most scan candidates, and most 'tower scan' samples times the top level's dim",
     )
     common.add_argument(
         "--cap-case-level", type=int, help="highest level n of 'case d8' and 'units obstruct'"

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .cocycles import (
@@ -290,48 +289,24 @@ def quotient_multiplicative(psi: PsiMap) -> bool:
     )
 
 
-# the packed rows of twist_exponents_multiplicative hold bytes in [3, 5 c_t - 2]
-assert 5 * max(SUPPORTED_CONDUCTORS) < 256
-
-
 def twist_exponents_multiplicative(psi: PsiMap) -> bool:
     """Whether s(x,y) c_t/c_s + (e(xy) - e(x) - e(y)) c_t/m_t = t(q(x), q(y))
     modulo c_t for every basis pair, the other half of
-    psi_multiplicative_on_basis.
-
-    A row x is checked at once, on integers that hold one byte per y.  With
-    every term reduced mod c_t, the bytes of
-    s(x,y) c_t/c_s + e(xy) + 3 c_t - (t(q(x), q(y)) + e(y)) - e(x) lie in
-    [3, 5 c_t - 2] whatever the terms, below 256 for every supported c_t,
-    so the sum of the packed rows neither carries nor borrows, and the row
-    holds exactly when each byte is 0 mod c_t.
-    """
+    psi_multiplicative_on_basis."""
     src, tgt = psi.source, psi.target
     c_t = tgt.conductor
     step = c_t // src.conductor
     rs = c_t // tgt.cocycle.modulus
-    n = src.group.order
     q = [g for g, _ in psi.gamma_images]
-    e = bytes(exp * rs % c_t for _, exp in psi.gamma_images)
-    ones = _packed(b"\1" * n)
-    # t(g, q(y)) + e(y) - 3 c_t for every y, one row per quotient element g
-    rhs = [
-        _packed(bytes(map(trow.__getitem__, q))) + _packed(e) - 3 * c_t * ones
-        for trow in tgt.structure[2]
-    ]
-    residue, zero = bytes(b % c_t for b in range(256)), bytes(n)
+    e = [exp * rs for _, exp in psi.gamma_images]
+    # t(g, q(y)) + e(y) for every y, one row per quotient element g
+    rhs = [[trow[gy] + ey for gy, ey in zip(q, e)] for trow in tgt.structure[2]]
     for x, (s_row, row) in enumerate(zip(src.structure[2], src.group.mul)):
-        # itemgetter of one index returns the item, and e(1 1) is e itself
-        e_row = bytes(itemgetter(*row)(e)) if n > 1 else e
-        lhs = _packed(bytes(s_row)) * step + _packed(e_row)
-        if (lhs - rhs[q[x]] - e[x] * ones).to_bytes(n, "little").translate(residue) != zero:
-            return False
+        ex = e[x]
+        for s, xy, r in zip(s_row, row, rhs[q[x]]):
+            if (s * step + e[xy] - ex - r) % c_t:
+                return False
     return True
-
-
-def _packed(row: bytes) -> int:
-    """The integer whose little-endian bytes are row."""
-    return int.from_bytes(row, "little")
 
 
 def twist_exponents_add(psi: PsiMap, first: PsiMap, second: PsiMap, one: PsiMap) -> bool:

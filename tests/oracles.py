@@ -40,11 +40,14 @@ by a monic polynomial when the division is exact, and
 the product's ids, as the library did before Q8 came from the quaternion
 relations, Phi_m and polynomial division were written once, and the
 section came from mu; ``lift_by_basis`` maps every basis vector through
-all the components and lifts it back, and ``twist_exponents_by_pairs``
-walks the twist exponents of a component one basis pair at a time, as the
-library did before character orthogonality certified the lift and the walk
-read a row at once; the other three are small conveniences over the
-library's own constructions.
+all the components and lifts it back, as the library did before character
+orthogonality certified the lift; ``twist_exponents_by_pairs`` walks the
+twist exponents of a component one basis pair at a time, the shape the
+library's walk has too, kept here as the fixed reference it is compared with;
+``validate_character`` checks chi(ab) = chi(a) + chi(b) on every pair, as
+``transgress`` did before it read only the rows of a generating set of N;
+the other three are small conveniences over the library's own
+constructions.
 """
 
 from __future__ import annotations
@@ -839,3 +842,14 @@ def twist_exponents_by_pairs(psi: PsiMap) -> bool:
             if (s * step + e[xy] - ex - r) % c_t:
                 return False
     return True
+
+
+def validate_character(chi: LinearCharacter) -> None:
+    g = chi.group
+    m = chi.modulus
+    if chi.values[0] % m:
+        raise ValueError("character must send the identity to 1")
+    for a in g.elements():
+        for b in g.elements():
+            if (chi.values[a] + chi.values[b] - chi.values[g.mul[a][b]]) % m:
+                raise ValueError(f"character not multiplicative at ({a},{b})")

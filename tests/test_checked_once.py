@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import validate_hom
+from oracles import validate_character, validate_hom
 from twisted_rings import cli, units
 from twisted_rings.cocycles import (
     LinearCharacter,
     transgress,
-    validate_character,
     validate_cocycle,
 )
 from twisted_rings.extensions import (
