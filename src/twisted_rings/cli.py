@@ -350,13 +350,11 @@ def _cmd_tower(args, report: Report) -> None:
         base = rings.anticommuting_ring(0)
     n = _in_range(args.n, 1, None, "--n")
     if args.action == "scan":
-        # samples times the top level's dim, base.dim << n, against the cap;
-        # shifting the cap down keeps a large --n from building a huge int
+        # samples times the top dim base.dim << n; the cap is shifted, not the dim
         samples = _in_range(args.samples, 1, None, "--samples")
         if samples * base.dim > (cap := CAPS.get().scan_candidates) >> n:
             raise CapExceededError(
-                f"{samples} samples at the top level's dim {base.dim} * 2^{n} "
-                f"exceed the scan cap {cap}"
+                f"{samples} samples at top dim {base.dim} * 2^{n} exceed the scan cap {cap}"
             )
     else:
         _in_range(args.level, 1, args.n, "--level")
@@ -446,9 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap-word-length", type=int, help="longest enumerated free word"
     )
     common.add_argument(
-        "--cap-scan-candidates",
-        type=int,
-        help="most scan candidates, and most 'tower scan' samples times the top level's dim",
+        "--cap-scan-candidates", type=int, help="most scan candidates and 'tower scan' samples*dim"
     )
     common.add_argument(
         "--cap-case-level", type=int, help="highest level n of 'case d8' and 'units obstruct'"
