@@ -46,6 +46,8 @@ twist exponents of a component one basis pair at a time, the shape the
 library's walk has too, kept here as the fixed reference it is compared with;
 ``validate_character`` checks chi(ab) = chi(a) + chi(b) on every pair, as
 ``transgress`` did before it read only the rows of a generating set of N;
+``first_nonassociative_triple`` walks every triple of a table in (a, b, c)
+order, as ``build_group`` did before it compared whole rows;
 the other three are small conveniences over the library's own
 constructions.
 """
@@ -323,6 +325,15 @@ def validate_hom(h: GroupHom) -> None:
         for y in h.source.elements():
             if h.map[h.source.mul[x][y]] != h.target.mul[h.map[x]][h.map[y]]:
                 raise ValueError(f"multiplicativity fails at ({x},{y})")
+
+
+def first_nonassociative_triple(tab: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    n = len(tab)
+    triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+    for a, b, c in triples:
+        if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
+            return a, b, c
+    return None
 
 
 def center(g: FiniteGroup) -> frozenset[int]:

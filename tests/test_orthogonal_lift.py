@@ -1,12 +1,13 @@
-"""The lift half of the components certificate by character orthogonality,
-and the twist-exponent walk a row at a time, against the routines they
-replace; equal sibling targets shared; the case study at n = 6 pinned.
+"""The lift half of the components certificate by character orthogonality
+against the routine it replaces, and the twist-exponent walk against its
+oracle copy; equal sibling targets shared; the case study at n = 6 pinned.
 
 ``rings._lifts_back`` must give the verdict of ``oracles.lift_by_basis``,
 which maps every basis vector through every component and lifts it back,
 and ``extensions.twist_exponents_multiplicative`` the verdict of
-``oracles.twist_exponents_by_pairs``, on the components of every ring the
-certificate shortcuts are tested on and on corrupted copies of them.
+``oracles.twist_exponents_by_pairs``, the fixed copy of the same pair walk,
+on the components of every ring the certificate shortcuts are tested on and
+on corrupted copies of them.
 """
 
 import hashlib
@@ -118,7 +119,7 @@ def test_a_duplicated_kernel_element_fails_both_lift_checks(ring):
         assert _verdicts(ring, one) == (False, False), i
 
 
-def test_the_row_walk_agrees_with_the_pair_walk_on_every_component():
+def test_the_twist_walk_agrees_with_its_oracle_copy_on_every_component():
     walked = 0
     for name, ring in _split_rings():
         for psi in ring.components:
@@ -149,7 +150,7 @@ def _flip_source_twist(psi, x, y):
     _d8_sources() + [anticommuting_ring(1), anticommuting_ring(2)],
     ids=["d8 source n=1", "d8 source n=2", "anticommuting n=1", "anticommuting n=2"],
 )
-def test_the_row_walk_agrees_with_the_pair_walk_on_corrupted_maps(ring):
+def test_the_twist_walk_agrees_with_its_oracle_copy_on_corrupted_maps(ring):
     refuted = kept = 0
     for psi in ring.components:
         tgt = psi.target
