@@ -48,6 +48,15 @@ library's walk has too, kept here as the fixed reference it is compared with;
 ``transgress`` did before it read only the rows of a generating set of N;
 ``first_nonassociative_triple`` walks every triple of a table in (a, b, c)
 order, as ``build_group`` did before it compared whole rows;
+``is_subgroup_with_inverses`` tests the identity, every inverse and every
+product, ``two_sided_closure`` closes under left and right products by the
+generators, ``is_dedekind_by_distinct_cyclics`` checks each distinct cyclic
+subgroup by ``is_normal``, and ``quotient_by_sorted_cosets`` sorts each coset
+and then the cosets by their least members, as ``groups.is_subgroup``,
+``subgroup_closure``, ``is_dedekind`` and ``quotient`` did before closure
+was taken to make a subgroup, a generator's conjugates to make its cyclic
+subgroup normal, and the scan order to number the cosets (each copy calls
+the other copies where the library routine called its own);
 the other three are small conveniences over the library's own
 constructions.
 """
@@ -96,6 +105,7 @@ from twisted_rings.groups import (
     is_abelian,
     is_hamiltonian_2group,
     hom_from_gen_images,
+    is_normal,
     order_histogram,
 )
 from twisted_rings.intmat import identity_matrix, mat_pow
@@ -334,6 +344,76 @@ def first_nonassociative_triple(tab: Sequence[Sequence[int]]) -> Optional[tuple[
         if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
             return a, b, c
     return None
+
+
+def is_subgroup_with_inverses(g: FiniteGroup, ids: Iterable[int]) -> bool:
+    s = set(ids)
+    if 0 not in s:
+        return False
+    for x in s:
+        if g.inv[x] not in s:
+            return False
+        for y in s:
+            if g.mul[x][y] not in s:
+                return False
+    return True
+
+
+def two_sided_closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
+    elems = {0}
+    frontier = [0]
+    gens = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            for y in (g.mul[x][s], g.mul[s][x]):
+                if y not in elems:
+                    elems.add(y)
+                    frontier.append(y)
+    return frozenset(elems)
+
+
+def is_dedekind_by_distinct_cyclics(g: FiniteGroup) -> bool:
+    seen: set[frozenset[int]] = set()
+    for x in g.elements():
+        h = two_sided_closure(g, [x])
+        if h in seen:
+            continue
+        seen.add(h)
+        if not is_normal(g, h):
+            return False
+    return True
+
+
+def quotient_by_sorted_cosets(
+    g: FiniteGroup, normal_ids: Iterable[int]
+) -> tuple[FiniteGroup, GroupHom]:
+    nset = frozenset(normal_ids)
+    if not is_subgroup_with_inverses(g, nset):
+        raise ValueError("given id set is not a subgroup")
+    if not is_normal(g, nset):
+        raise ValueError("subgroup is not normal")
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for x in g.elements():
+        if x in coset_of:
+            continue
+        members = sorted(g.mul[x][n] for n in nset)
+        rep_index = len(reps)
+        reps.append(members[0])
+        for m in members:
+            coset_of[m] = rep_index
+    order = len(reps)
+    perm = sorted(range(order), key=lambda i: reps[i])
+    rank = {old: new for new, old in enumerate(perm)}
+    reps = [reps[old] for old in perm]
+    proj = tuple(rank[coset_of[x]] for x in g.elements())
+    mul = [
+        [proj[g.mul[reps[i]][reps[j]]] for j in range(order)] for i in range(order)
+    ]
+    labels = [g.labels[r] for r in reps]
+    q = _package(mul, labels, f"{g.name}/N")
+    return q, GroupHom(source=g, target=q, map=proj)
 
 
 def center(g: FiniteGroup) -> frozenset[int]:
