@@ -244,6 +244,25 @@ def _cmd_ext(args, report: Report) -> None:
             )
         )
         return
+    if args.action == "components":
+        conductor = _in_range(args.conductor, 1, None, "--conductor")
+        entries = extensions.component_table(ext, field_conductor=conductor)
+        report.add(
+            check(
+                "component table",
+                True,
+                [
+                    {
+                        "field_conductor": e.field_conductor,
+                        "degree": e.degree,
+                        "orbit_size": e.orbit_size,
+                    }
+                    for e in entries
+                ],
+                note="dimension identity enforced during construction",
+            )
+        )
+        return
     modulus = _in_range(args.chi_modulus, 1, None, "--chi-modulus")
     chars = extensions.lin_characters(ext.sub_group, modulus)
     chi = chars[_in_range(args.chi, 0, len(chars) - 1, "--chi")]
@@ -276,24 +295,6 @@ def _cmd_ext(args, report: Report) -> None:
                     {"finite": fin.finite, "clauses": list(fin.clauses)},
                 )
             )
-    elif args.action == "components":
-        conductor = _in_range(args.conductor, 1, None, "--conductor")
-        entries = extensions.component_table(ext, field_conductor=conductor)
-        report.add(
-            check(
-                "component table",
-                True,
-                [
-                    {
-                        "field_conductor": e.field_conductor,
-                        "degree": e.degree,
-                        "orbit_size": e.orbit_size,
-                    }
-                    for e in entries
-                ],
-                note="dimension identity enforced during construction",
-            )
-        )
 
 
 def _cmd_units(args, report: Report) -> None:

@@ -323,7 +323,7 @@ def build_G_alpha(c: Cocycle) -> GAlpha:
         row = []
         for e2 in range(total):
             i2, x2 = divmod(e2, n)
-            k = c.table[x1][x2] // step if step else 0
+            k = c.table[x1][x2] // step
             row.append(encode(i1 + i2 + k, g.mul[x1][x2]))
         mul.append(row)
     labels = [

@@ -143,12 +143,12 @@ def build_d8_psi(n: int) -> PsiMap:
     return build_psi(ext, sign_character(ext))
 
 
-def _bicyclic_sources(src: TwRing, n: int) -> tuple[TwElement, TwElement, TwElement]:
+def _bicyclic_sources(src: TwRing) -> tuple[TwElement, TwElement, TwElement]:
     """b1 = 1 + (1-b) ab (1+b), b2 = 1 + (1+b) ab (1-b), b3 = 1 - (1+ab) b (1-ab)."""
-    shift = 1 << n
+    gens = src.group.generators
     one = src.one()
-    b = src.basis(4 * shift)
-    ab = src.basis(5 * shift)
+    b = src.basis(gens["b"])
+    ab = src.basis(src.group.mul[gens["a"]][gens["b"]])
     b1 = one + (one - b) * ab * (one + b)
     b2 = one + (one + b) * ab * (one - b)
     b3 = one - (one + ab) * b * (one - ab)
@@ -195,7 +195,7 @@ def d8_case_study(n: int) -> D8CaseStudy:
     )
 
     # images of the three bicyclic units
-    b1, b2, b3 = _bicyclic_sources(src, n)
+    b1, b2, b3 = _bicyclic_sources(src)
     v, w = _target_generators(tgt)
     w_v_inv = w * is_unit(v)
     v_w_inv = v * is_unit(w)
@@ -206,7 +206,8 @@ def d8_case_study(n: int) -> D8CaseStudy:
     items.append(check("psi(b2) = w^2", b2_ok, b2_ok, "w^2"))
     published_b3 = psi_b3 == w_v_inv
     corrected_b3 = psi_b3 == -v_w_inv
-    a_sq = src.basis(2 << n)
+    a = src.group.generators["a"]
+    a_sq = src.basis(src.group.mul[a][a])
     b3_inv = 2 * src.one() - b3
     corrected_exact = apply_psi(psi, a_sq * b3_inv) == w_v_inv
     items.append(

@@ -58,18 +58,15 @@ class ExtensionData:
     sigma: tuple[tuple[int, ...], ...]
     is_central: bool
 
-    def decompose(self, gamma: int) -> tuple[int, int]:
-        """Write gamma = n * mu(g); returns (sub-id of n, quotient id g)."""
-        g = self.proj.map[gamma]
-        mu_g = self.section[g]
-        n = self.total.mul[gamma][self.total.inv[mu_g]]
-        return self.sub_index[n], g
-
     @cached_property
     def _decomposed(self) -> tuple[tuple[int, int], ...]:
-        """decompose(gamma) for every gamma, read once per extension by the
-        maps of all its characters."""
-        return tuple(map(self.decompose, self.total.elements()))
+        """(sub-id of n, quotient id g) with gamma = n * mu(g), for every
+        gamma, read once per extension by the maps of all its characters."""
+        mul, inv = self.total.mul, self.total.inv
+        return tuple(
+            (self.sub_index[mul[gamma][inv[self.section[g]]]], g)
+            for gamma, g in enumerate(self.proj.map)
+        )
 
     @cached_property
     def _sub_generators(self) -> tuple[int, ...]:
@@ -575,21 +572,17 @@ class ComponentEntry:
     twist: Cocycle
 
 
-def component_table(
-    ext: ExtensionData,
-    beta: Optional[Cocycle] = None,
-    field_conductor: int = 1,
-) -> list[ComponentEntry]:
-    """Component bookkeeping of R^beta[Gamma] over F for a central kernel.
+def component_table(ext: ExtensionData, field_conductor: int = 1) -> list[ComponentEntry]:
+    """Component bookkeeping of R[Gamma] over F for a central kernel.
 
     One entry per Galois orbit of characters of N over F; each entry carries
-    the twist beta * T(chi) of the corresponding component F(chi)[G]-twisted,
+    the twist T(chi) of the corresponding component F(chi)[G]-twisted,
     and the dimension identity sum(degree) * |G| = |Gamma| is enforced.
     """
     if not ext.is_central:
         raise ValueError("component table requires a central kernel")
     n_grp = ext.sub_group
-    full_modulus = _fit_conductor(lcm(exponent(n_grp), 1))
+    full_modulus = _fit_conductor(exponent(n_grp))
     orbits = galois_orbits(lin_characters(n_grp, full_modulus), field_conductor)
     entries = []
     g = ext.quotient_group
@@ -598,7 +591,7 @@ def component_table(
         value_order = chi.value_order()
         f_chi = lcm(field_conductor, value_order)
         degree = euler_phi(f_chi) // euler_phi(field_conductor)
-        psi = build_psi(ext, chi, beta=beta)
+        psi = build_psi(ext, chi)
         entries.append(
             ComponentEntry(
                 character=chi,

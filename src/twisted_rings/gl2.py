@@ -90,8 +90,8 @@ def _trivial_id(sign: int, gamma: int) -> int:
     return gamma if sign == 1 else gamma + _MODEL.group.order
 
 
-def model_ring(conductor: int = 2) -> TwRing:
-    return TwRing(_MODEL.group, _MODEL, conductor)
+def model_ring() -> TwRing:
+    return TwRing(_MODEL.group, _MODEL, 2)
 
 
 def _require_model_ring(ring: TwRing) -> None:

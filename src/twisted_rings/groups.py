@@ -309,30 +309,26 @@ def conjugate(g: FiniteGroup, x: int, by: int) -> int:
 
 
 def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
+    """The subgroup gens generate, as right products by the generators from
+    1: each generator's inverse is a positive power of it."""
     elems = {0}
     frontier = [0]
     gens = list(gens)
     while frontier:
         x = frontier.pop()
         for s in gens:
-            for y in (g.mul[x][s], g.mul[s][x]):
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
+            y = g.mul[x][s]
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
     return frozenset(elems)
 
 
 def is_subgroup(g: FiniteGroup, ids: Iterable[int]) -> bool:
+    """Whether ids is nonempty and closed under products, which in a finite
+    group makes it a subgroup: x^-1 = x^(o(x)-1) and 1 = x^o(x)."""
     s = set(ids)
-    if 0 not in s:
-        return False
-    for x in s:
-        if g.inv[x] not in s:
-            return False
-        for y in s:
-            if g.mul[x][y] not in s:
-                return False
-    return True
+    return bool(s) and {g.mul[x][y] for x in s for y in s} <= s
 
 
 def is_normal(g: FiniteGroup, ids: Iterable[int]) -> bool:
@@ -368,18 +364,15 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 def is_dedekind(g: FiniteGroup, exhaustive: bool = False) -> bool:
     """True when every subgroup is normal.
 
-    Cyclic subgroups suffice (normality is preserved by joins); with
+    Cyclic subgroups suffice (normality is preserved by joins), and <x> is
+    normal exactly when every conjugate t^-1 x t lies in <x>; with
     exhaustive=True all subgroups are enumerated and checked instead.
     """
     if exhaustive:
         return all(is_normal(g, h) for h in all_subgroups(g))
-    seen: set[frozenset[int]] = set()
     for x in g.elements():
         h = subgroup_closure(g, [x])
-        if h in seen:
-            continue
-        seen.add(h)
-        if not is_normal(g, h):
+        if any(conjugate(g, x, t) not in h for t in g.elements()):
             return False
     return True
 
@@ -418,31 +411,24 @@ def quotient(g: FiniteGroup, normal_ids: Iterable[int]) -> tuple[FiniteGroup, Gr
     """Quotient by a normal subgroup, with the canonical projection.
 
     Cosets are numbered by their least representative, so the identity
-    coset is element 0 of the quotient.
+    coset is element 0 of the quotient.  Ids are scanned upward, and each
+    coset is placed whole when it is found, so the first id not yet placed
+    is the least of its coset: the scan finds the cosets in that order.
     """
     nset = frozenset(normal_ids)
-    if not is_subgroup(g, nset):
-        raise ValueError("given id set is not a subgroup")
     if not is_normal(g, nset):
+        # is_normal ran is_subgroup already; it runs again only to pick the message
+        if not is_subgroup(g, nset):
+            raise ValueError("given id set is not a subgroup")
         raise ValueError("subgroup is not normal")
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for x in g.elements():
-        if x in coset_of:
-            continue
-        members = sorted(g.mul[x][n] for n in nset)
-        rep_index = len(reps)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = rep_index
-    order = len(reps)
-    perm = sorted(range(order), key=lambda i: reps[i])
-    rank = {old: new for new, old in enumerate(perm)}
-    reps = [reps[old] for old in perm]
-    proj = tuple(rank[coset_of[x]] for x in g.elements())
-    mul = [
-        [proj[g.mul[reps[i]][reps[j]]] for j in range(order)] for i in range(order)
-    ]
+        if x not in coset_of:
+            coset_of.update((g.mul[x][n], len(reps)) for n in nset)
+            reps.append(x)
+    proj = tuple(coset_of[x] for x in g.elements())
+    mul = [[proj[g.mul[x][y]] for y in reps] for x in reps]
     labels = [g.labels[r] for r in reps]
     q = _package(mul, labels, f"{g.name}/N")
     return q, GroupHom(source=g, target=q, map=proj)

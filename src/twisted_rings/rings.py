@@ -62,7 +62,10 @@ def _zero(conductor: int) -> CycInt:
 
 @dataclass(frozen=True)
 class TwRing:
-    """R^alpha[G] with R = Z[zeta_conductor]."""
+    """R^alpha[G] with R = Z[zeta_conductor].
+
+    The twist must be a normalized 2-cocycle, as for build_G_alpha and
+    are_cohomologous; only normalization is checked here, the rest at the edge."""
 
     group: FiniteGroup
     cocycle: Cocycle
@@ -555,13 +558,14 @@ def _converts_back(powers, roots, step: int, phi: int) -> bool:
 def is_unit(x: TwElement) -> Optional[TwElement]:
     """Return the inverse when x is a unit of the Z-order, else None.
 
-    _inverse_coords builds it unchecked; x x^-1 = x^-1 x = 1 is checked
-    once, here, and certifies it."""
+    _inverse_coords builds it unchecked; x x^-1 = 1, checked once here,
+    certifies it from both sides: in a Z-order inside a finite-dimensional
+    Q-algebra, x y = 1 makes L_x onto, hence bijective, so y x = 1 too."""
     ring = x.ring
     if (flat := _inverse_coords(ring, x.coords())) is None:
         return None
     inv = ring.from_coords(flat)
-    if x * inv != ring.one() or inv * x != ring.one():
+    if x * inv != ring.one():
         raise ArithmeticError("inverse verification failed")
     return inv
 

@@ -74,12 +74,11 @@ def decide_finiteness(ring: TwRing, witness_search: bool = True) -> FinitenessVe
     return FinitenessVerdict(True, case, info)
 
 
-def find_infinite_order_unit(
-    ring: TwRing, bound: int = 1, support_cap: int = 3
-) -> Optional[TwElement]:
-    """First unit of infinite order with small integer coefficients, if any."""
+def find_infinite_order_unit(ring: TwRing, bound: int = 1) -> Optional[TwElement]:
+    """First unit of infinite order with small integer coefficients and
+    support at most 3, if any."""
     values = [1, -1] if bound == 1 else [c for c in range(-bound, bound + 1) if c]
-    for x in small_support_elements(ring, values, support_cap):
+    for x in small_support_elements(ring, values, 3):
         unit, order = unit_order(x)
         if unit and order is None:
             return x

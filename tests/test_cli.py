@@ -253,3 +253,17 @@ def test_ext_subcommands(capsys):
     )
     assert code == EXIT_OK
     assert len(json.loads(out)["items"][0]["computed"]) == 2
+
+
+def test_ext_components_reads_only_its_own_flags(capsys):
+    # --chi and --chi-modulus select one character for psi and kernel; the
+    # component table walks every character and reads neither
+    base = ["--json", "ext", "components", '{"preset":"direct_product","params":[4,2]}']
+    base += ["--normal", "0", "4", "--conductor", "4"]
+    code, out = _capture(capsys, base)
+    assert code == EXIT_OK
+    items = json.loads(out)["items"]
+    for extra in (["--chi", "9"], ["--chi-modulus", "0"]):
+        code, out = _capture(capsys, base + extra)
+        assert code == EXIT_OK
+        assert json.loads(out)["items"] == items
