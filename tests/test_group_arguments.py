@@ -81,13 +81,8 @@ def test_quotient_agrees_with_its_oracle_on_every_normal_subgroup():
     for g, h in _normal_subgroups():
         q, proj = quotient(g, h)
         expected, expected_proj = quotient_by_sorted_cosets(g, h)
+        # equal order, table, inverses, labels and name
         assert q == expected
-        assert (q.mul, q.inv, q.labels, q.name) == (
-            expected.mul,
-            expected.inv,
-            expected.labels,
-            expected.name,
-        )
         assert proj.map == expected_proj.map
         assert proj.source is g and proj.target is q
 
