@@ -79,7 +79,9 @@ def _load_json_arg(arg: Optional[str]) -> dict:
     return json.loads(text)
 
 
-def _load_cocycle(spec: dict) -> cocycles.Cocycle:
+def _load_cocycle(spec: dict, make=cocycles.Cocycle) -> cocycles.Cocycle:
+    """The cocycle of a JSON spec; a table is packaged by make.  A builtin
+    is a construction, which the tests check."""
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "anticommuting":
@@ -96,7 +98,7 @@ def _load_cocycle(spec: dict) -> cocycles.Cocycle:
     table = tuple(
         tuple(exact_int(v, "cocycle entry") for v in row) for row in spec["table"]
     )
-    return cocycles.Cocycle(g, exact_int(spec["m"], "m"), table)
+    return make(g, exact_int(spec["m"], "m"), table)
 
 
 def _in_range(value: Optional[int], lo: int, hi: Optional[int], flag: str) -> int:
@@ -112,11 +114,8 @@ def _in_range(value: Optional[int], lo: int, hi: Optional[int], flag: str) -> in
 def _load_normalized_cocycle(spec: dict) -> cocycles.Cocycle:
     """The cocycle of a JSON spec; a table is refused unless it is a normalized
     cocycle (a ring takes u_1 as its identity, and the coboundary search
-    fixes f(1) = 0).  A builtin is a construction, which the tests check."""
-    c = _load_cocycle(spec)
-    if "builtin" not in spec and not (report := cocycles.validate_cocycle(c)).ok:
-        raise ValueError(report.message)
-    return c
+    fixes f(1) = 0)."""
+    return _load_cocycle(spec, cocycles.Cocycle.checked)
 
 
 def _load_ring(spec: dict) -> rings.TwRing:

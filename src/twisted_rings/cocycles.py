@@ -45,6 +45,15 @@ class Cocycle:
         if any(min(r) < 0 or max(r) >= self.modulus for r in self.table):
             raise ValueError("table exponents must be reduced mod the value modulus")
 
+    @classmethod
+    def checked(cls, group: FiniteGroup, modulus: int, table) -> "Cocycle":
+        """The cocycle of table, refused with validate_cocycle's message
+        unless it is a normalized 2-cocycle."""
+        c = cls(group, modulus, table)
+        if not (report := validate_cocycle(c)).ok:
+            raise ValueError(report.message)
+        return c
+
     def rescaled(self, new_modulus: int) -> "Cocycle":
         """Same cocycle expressed with exponents modulo a multiple modulus."""
         if new_modulus % self.modulus != 0:

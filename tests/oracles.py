@@ -48,6 +48,9 @@ library's walk has too, kept here as the fixed reference it is compared with;
 ``transgress`` did before it read only the rows of a generating set of N;
 ``first_nonassociative_triple`` walks every triple of a table in (a, b, c)
 order, as ``build_group`` did before it compared whole rows;
+``build_group_entrywise`` checks a table's entries, identity and
+inverses one entry at a time and every pair (a, b) for associativity, as
+``build_group`` did before it checked them by row operations;
 ``is_subgroup_with_inverses`` tests the identity, every inverse and every
 product, ``two_sided_closure`` closes under left and right products by the
 generators, ``is_dedekind_by_distinct_cyclics`` checks each distinct cyclic
@@ -78,7 +81,7 @@ from twisted_rings.cocycles import (
     trivial_cocycle,
 )
 from twisted_rings.cyclotomic import PHI_DEGREE, CycInt, cyclotomic_factors
-from twisted_rings.errors import CAPS, CapExceededError
+from twisted_rings.errors import CAPS, CapExceededError, exact_int
 from twisted_rings.gl2 import (
     _BASIS_IMAGES,
     PEEL_STEP_CAP,
@@ -96,6 +99,7 @@ from twisted_rings.extensions import ExtensionData, KernelFiniteness, PsiMap, bu
 from twisted_rings.groups import (
     FiniteGroup,
     GroupHom,
+    _check_order,
     _package,
     centralizer,
     dihedral8_times_c2n,
@@ -344,6 +348,44 @@ def first_nonassociative_triple(tab: Sequence[Sequence[int]]) -> Optional[tuple[
         if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
             return a, b, c
     return None
+
+
+def build_group_entrywise(
+    mul: Sequence[Sequence[int]],
+    labels: Optional[Sequence[str]] = None,
+    name: str = "",
+    generators: Optional[dict[str, int]] = None,
+) -> FiniteGroup:
+    n = len(mul)
+    if n == 0:
+        raise ValueError("empty multiplication table")
+    _check_order(n)
+    table = []
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        r = tuple(exact_int(x, "table entry") for x in row)
+        for x in r:
+            if not 0 <= x < n:
+                raise ValueError(f"table entry {x} out of range 0..{n - 1}")
+        table.append(r)
+    tab = tuple(table)
+    for x in range(n):
+        if tab[0][x] != x or tab[x][0] != x:
+            raise ValueError("element 0 is not a two-sided identity")
+    for x in range(n):
+        if not any(tab[x][y] == 0 and tab[y][x] == 0 for y in range(n)):
+            raise ValueError(f"element {x} has no two-sided inverse")
+    for a, row in enumerate(tab):
+        for b, ab in enumerate(row):
+            if tab[ab] != tuple(map(row.__getitem__, tab[b])):
+                c = next(c for c in range(n) if tab[ab][c] != row[tab[b][c]])
+                raise ValueError(f"associativity fails on ({a},{b},{c})")
+    if labels is None:
+        labels = tuple(f"e{i}" for i in range(n))
+    elif len(labels) != n:
+        raise ValueError("labels length does not match order")
+    return _package(tab, [str(s) for s in labels], name, generators)
 
 
 def is_subgroup_with_inverses(g: FiniteGroup, ids: Iterable[int]) -> bool:

@@ -22,6 +22,7 @@ from twisted_rings.errors import CapExceededError
 from twisted_rings.extensions import build_extension
 from twisted_rings.groups import (
     GroupHom,
+    cyclic,
     elementary_abelian_2,
     order_histogram,
     quaternion8,
@@ -34,6 +35,25 @@ from twisted_rings.groups import (
 def test_both_standard_tables_validate():
     assert validate_cocycle(c2c2_matrix_cocycle()).ok
     assert validate_cocycle(c2c2_quaternion_cocycle()).ok
+
+
+@pytest.mark.parametrize(
+    "order, modulus, table, message",
+    [
+        # the coboundary of the constant map 1: a cocycle, not normalized
+        (2, 2, ((1, 1), (1, 1)), "cocycle identity holds but table is not normalized"),
+        (3, 3, ((0, 0, 0), (0, 1, 0), (0, 0, 0)), "cocycle identity fails on triple (1,1,2)"),
+    ],
+)
+def test_checked_refuses_what_the_cli_refuses(order, modulus, table, message):
+    with pytest.raises(ValueError) as info:
+        Cocycle.checked(cyclic(order), modulus, table)
+    assert str(info.value) == message
+
+
+def test_checked_returns_the_cocycle_of_a_normalized_table():
+    c = c2c2_quaternion_cocycle()
+    assert Cocycle.checked(c.group, c.modulus, c.table) == c
 
 
 def test_transposed_corner_variant_fails():

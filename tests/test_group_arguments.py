@@ -29,6 +29,7 @@ from oracles import (
 )
 from twisted_rings.cli import EXIT_OK, run
 from twisted_rings.cocycles import anticommuting_pair_cocycle, build_G_alpha, c2c2_quaternion_cocycle
+from twisted_rings.extensions import build_extension
 from twisted_rings.groups import (
     all_subgroups,
     cyclic,
@@ -41,6 +42,7 @@ from twisted_rings.groups import (
     is_subgroup,
     quaternion8,
     quotient,
+    subgroup_as_group,
     subgroup_closure,
 )
 
@@ -109,6 +111,22 @@ def test_is_dedekind_agrees_with_both_reference_routes():
         verdicts.append(verdict)
     # C12, Q8, C2^4 and Q8 x C2 are Dedekind; the quaternion twist's G_alpha is Q8
     assert verdicts == [True, False, True, True, False, False, False, True, False, True]
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ({5}, "element id 5 out of range 0..1"),
+        ({0, 5}, "element id 5 out of range 0..1"),
+        # a negative id would read the table from its end
+        ({-1}, "element id -1 out of range 0..1"),
+    ],
+)
+def test_is_subgroup_refuses_ids_outside_the_group(ids, message):
+    for route in (is_subgroup, is_normal, quotient, subgroup_as_group, build_extension):
+        with pytest.raises(ValueError) as info:
+            route(cyclic(2), ids)
+        assert str(info.value) == message
 
 
 @st.composite
