@@ -591,14 +591,13 @@ def component_table(ext: ExtensionData, field_conductor: int = 1) -> list[Compon
         value_order = chi.value_order()
         f_chi = lcm(field_conductor, value_order)
         degree = euler_phi(f_chi) // euler_phi(field_conductor)
-        psi = build_psi(ext, chi)
         entries.append(
             ComponentEntry(
                 character=chi,
                 field_conductor=f_chi,
                 degree=degree,
                 orbit_size=len(orbit),
-                twist=psi.target.cocycle,
+                twist=transgress(ext, chi),
             )
         )
     total = sum(e.degree for e in entries) * g.order

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import orbit_space
+from test_packaged_groups import _presets, _products
 from twisted_rings.cocycles import (
     LinearCharacter,
     c2c2_matrix_cocycle,
     validate_cocycle,
 )
 from twisted_rings.d8_case import build_d8_psi, d8_extension
+from twisted_rings.errors import CapExceededError
 from twisted_rings.extensions import (
     apply_psi,
     build_extension,
@@ -24,6 +26,8 @@ from twisted_rings.extensions import (
     torsion_kernel_units,
 )
 from twisted_rings.groups import (
+    all_subgroups,
+    centralizer,
     cyclic,
     dihedral8,
     direct_product,
@@ -273,6 +277,27 @@ def test_component_dimensions_match_perlis_walker():
         counts = perlis_walker_counts(group)
         assert sum(e.degree for e in entries) == group.order
         assert len(entries) == sum(counts.values())
+
+
+def test_component_twists_are_the_targets_of_psi():
+    # each entry's twist is read off transgress; build_psi with the trivial
+    # beta twists its target ring by the same table
+    checked = 0
+    for g in (g for build in (_presets, _products) for g in build() if g.order <= 16):
+        center = {x for x in g.elements() if len(centralizer(g, x)) == g.order}
+        for sub in all_subgroups(g):
+            if not sub <= center:
+                continue
+            ext = build_extension(g, sub)
+            for conductor in (1, 2, 4):
+                try:
+                    entries = component_table(ext, field_conductor=conductor)
+                except CapExceededError:
+                    continue
+                for e in entries:
+                    assert e.twist == build_psi(ext, e.character).target.cocycle
+                    checked += 1
+    assert checked > 1000
 
 
 def test_commuting_square_of_natural_and_projection_maps():

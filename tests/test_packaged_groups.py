@@ -16,6 +16,7 @@ from twisted_rings.cli import EXIT_USAGE, run
 from twisted_rings.cocycles import anticommuting_pair_cocycle, build_G_alpha
 from twisted_rings.errors import CapExceededError
 from twisted_rings.groups import (
+    _package,
     all_subgroups,
     build_group,
     build_preset,
@@ -26,6 +27,7 @@ from twisted_rings.groups import (
     is_normal,
     quaternion8,
     quotient,
+    subgroup_as_group,
 )
 from twisted_rings.rings import anticommuting_ring
 from twisted_rings.tower import build_tower
@@ -58,6 +60,21 @@ def test_every_packaged_preset_and_product_passes_build_group(build):
     for g in groups:
         _assert_passes_build_group(g)
     assert len(groups) > 10
+
+
+def test_every_subgroup_table_passes_build_group_unchanged():
+    # subgroup_as_group checks its index table with build_group; packaging
+    # that table with no check gives the same group
+    checked = 0
+    for g in (g for build in (_presets, _products) for g in build() if g.order <= 16):
+        for sub in all_subgroups(g):
+            members = sorted(sub)
+            index = {x: i for i, x in enumerate(members)}
+            mul = [[index[g.mul[x][y]] for y in members] for x in members]
+            labels = [g.labels[x] for x in members]
+            assert subgroup_as_group(g, sub)[0] == _package(mul, labels, f"{g.name}|H"), g
+            checked += 1
+    assert checked > 250
 
 
 @pytest.mark.parametrize("name", GROUPS)
