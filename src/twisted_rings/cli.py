@@ -226,8 +226,6 @@ def _cmd_ring(args, report: Report) -> None:
 
 def _cmd_ext(args, report: Report) -> None:
     g = groups.group_from_json(_load_json_arg(args.group))
-    for v in args.normal + (args.section or []):
-        _in_range(v, 0, g.order - 1, "element id")
     sub = set(args.normal)
     ext = extensions.build_extension(g, sub, section_map=args.section)
     if args.action == "build":

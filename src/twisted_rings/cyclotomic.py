@@ -199,10 +199,7 @@ class CycInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, CycInt) and other.m == self.m:
-            a, b = self, other
-        else:
-            a, b = self._pair(other)
+        a, b = self._pair(other)
         ca, cb = a.coeffs, b.coeffs
         prod = [0] * (len(ca) + len(cb) - 1)
         for i, x in enumerate(ca):

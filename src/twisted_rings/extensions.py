@@ -127,11 +127,10 @@ def build_extension(
         for a in q.elements()
     )
     sigma = tuple(tuple(sub_index[mul[mul[mu][n]][inv[mu]]] for n in embed.map) for mu in section)
-    central = all(
-        total.mul[n][x] == total.mul[x][n]
-        for n in nset
-        for x in total.elements()
-    )
+    # Gamma = N mu(G), so N is central exactly when it is abelian and every
+    # mu(g) fixes it under conjugation
+    identity = tuple(range(sub_group.order))
+    central = is_abelian(sub_group) and all(perm == identity for perm in sigma)
     return ExtensionData(
         total=total,
         sub_ids=nset,
@@ -215,12 +214,10 @@ def build_psi(
     beta is a cocycle on the quotient (default trivial); the source ring is
     twisted by its inflation, the target by beta * T(chi).  A caller that
     already holds that source ring may pass it, and it is used as it is.
-    transgress checks that chi is an invariant homomorphism.  The
+    transgress checks that chi is an invariant homomorphism on N.  The
     decomposition gamma = n mu(g), which does not depend on chi, is read
     once per extension.
     """
-    if chi.group != ext.sub_group:
-        raise ValueError("character must live on the extension kernel")
     g = ext.quotient_group
     if beta is None:
         beta = trivial_cocycle(g, 1)

@@ -419,9 +419,9 @@ def quotient(g: FiniteGroup, normal_ids: Iterable[int]) -> tuple[FiniteGroup, Gr
     is the least of its coset: the scan finds the cosets in that order.
     """
     nset = frozenset(normal_ids)
-    if not is_subgroup(g, nset):
-        raise ValueError("given id set is not a subgroup")
     if not is_normal(g, nset):
+        if not is_subgroup(g, nset):
+            raise ValueError("given id set is not a subgroup")
         raise ValueError("subgroup is not normal")
     coset_of: dict[int, int] = {}
     reps: list[int] = []
@@ -479,7 +479,12 @@ def hom_from_gen_images(
 
 def validate_section(proj: GroupHom, section: Sequence[int]) -> None:
     """Check that section (quotient id -> source id) is a section of the
-    surjection proj that fixes the identity."""
+    surjection proj that fixes the identity; its first id that is not an
+    int in 0..|source|-1 is refused first, by name."""
+    n = proj.source.order
+    for x in section:
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(f"element id {x} out of range 0..{n - 1}")
     if len(section) != proj.target.order:
         raise ValueError(f"section has {len(section)} entries for {proj.target.order} cosets")
     if section[0] != 0:

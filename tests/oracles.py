@@ -60,6 +60,9 @@ and then the cosets by their least members, as ``groups.is_subgroup``,
 was taken to make a subgroup, a generator's conjugates to make its cyclic
 subgroup normal, and the scan order to number the cosets (each copy calls
 the other copies where the library routine called its own);
+``is_central_by_scan`` compares every element of N with every element of
+Gamma, as ``build_extension`` did before it read centrality off N's
+multiplication and the section's conjugation action sigma;
 the other three are small conveniences over the library's own
 constructions.
 """
@@ -986,3 +989,11 @@ def validate_character(chi: LinearCharacter) -> None:
         for b in g.elements():
             if (chi.values[a] + chi.values[b] - chi.values[g.mul[a][b]]) % m:
                 raise ValueError(f"character not multiplicative at ({a},{b})")
+
+
+def is_central_by_scan(total: FiniteGroup, nset: Iterable[int]) -> bool:
+    return all(
+        total.mul[n][x] == total.mul[x][n]
+        for n in nset
+        for x in total.elements()
+    )
