@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CAPS, CapExceededError, exact_int
@@ -62,7 +63,9 @@ def build_group(
     Each axiom is one loop that names the first bad entry: each row's length
     and its entries' types (a bool or float is not an int) and range; 0 as
     two-sided identity; an inverse of each x; associativity on every triple,
-    a row at a time: for each (a, b) row ab must be row a read at row b."""
+    a row at a time: for each (a, b) row ab must be row a read at row b, a
+    gather made in C by one itemgetter per row b (which at order 1 returns a
+    bare entry, not a 1-tuple: there [[0]] is read by tuple)."""
     n = len(mul)
     if n == 0:
         raise ValueError("empty multiplication table")
@@ -83,9 +86,10 @@ def build_group(
     for x in range(n):
         if not any(tab[x][y] == 0 and tab[y][x] == 0 for y in range(n)):
             raise ValueError(f"element {x} has no two-sided inverse")
+    reads = [itemgetter(*r) for r in tab] if n > 1 else [tuple]
     for a, row in enumerate(tab):
         for b, ab in enumerate(row):
-            if tab[ab] != tuple([row[c] for c in tab[b]]):
+            if tab[ab] != reads[b](row):
                 c = next(c for c in range(n) if tab[ab][c] != row[tab[b][c]])
                 raise ValueError(f"associativity fails on ({a},{b},{c})")
     if labels is None:
@@ -327,10 +331,12 @@ def subgroup_closure(g: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
 def is_subgroup(g: FiniteGroup, ids: Iterable[int]) -> bool:
     """Whether ids is nonempty and closed under products, which in a finite
     group makes it a subgroup: x^-1 = x^(o(x)-1) and 1 = x^o(x).  An id
-    outside 0..order-1 is a ValueError."""
+    that is not an int in 0..order-1 (a bool or float is not) is a
+    ValueError, a non-int named before the least int out of range."""
     s = set(ids)
-    if bad := [x for x in s if not 0 <= x < g.order]:
-        raise ValueError(f"element id {min(bad)} out of range 0..{g.order - 1}")
+    if bad := [x for x in s if type(x) is not int or not 0 <= x < g.order]:
+        x = min(bad, key=lambda x: (type(x) is int, x if type(x) is int else repr(x)))
+        raise ValueError(f"element id {x} out of range 0..{g.order - 1}")
     return bool(s) and {g.mul[x][y] for x in s for y in s} <= s
 
 
@@ -440,9 +446,10 @@ def subgroup_as_group(
     g: FiniteGroup, ids: Iterable[int]
 ) -> tuple[FiniteGroup, GroupHom]:
     """Package a subgroup as its own FiniteGroup plus the embedding."""
-    members = sorted(set(ids))
+    members = set(ids)
     if not is_subgroup(g, members):
         raise ValueError("given id set is not a subgroup")
+    members = sorted(members)
     index = {x: i for i, x in enumerate(members)}
     mul = [[index[g.mul[x][y]] for y in members] for x in members]
     labels = [g.labels[x] for x in members]

@@ -7,6 +7,12 @@ tables drawn from presets and products of order at most 16, with one
 mutation each, ``build_group`` must raise the same exception type with the
 same message, or return an equal ``FiniteGroup``.  Three order-256
 messages are pinned as the entry-by-entry checks printed them.
+
+Associativity is compared a row at a time by one ``itemgetter`` per row,
+which at order 1 returns a bare entry instead of a 1-tuple: the trivial
+table is accepted, tables of order 32 to 64 with one product changed are
+answered as the entry-by-entry checks answer them, and the first failing
+triple of the order-256 table with 3 * 5 changed to 7 is pinned.
 """
 
 import json
@@ -17,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_group_entrywise
+from oracles import build_group_entrywise, first_nonassociative_triple
 from twisted_rings.cli import EXIT_USAGE, run
 from twisted_rings.groups import (
     build_group,
@@ -134,3 +140,56 @@ def test_group_validate_prints_the_pinned_order_256_messages(mul, message, capsy
     path.write_text(json.dumps({"mul": mul}), encoding="utf-8")
     assert run(["--json", "group", "validate", str(path)]) == EXIT_USAGE
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_trivial_table_is_accepted():
+    assert build_group([[0]]) == build_group_entrywise([[0]])
+    assert build_group([[0]]).mul == cyclic(1).mul == ((0,),)
+    assert cyclic(1).order == 1
+
+
+def test_the_order_256_first_failing_triple_is_pinned():
+    # group validate prints it on stderr, exit 2, in test_row_associativity.py
+    mul, message = _c2_8(3, 5, 7), "associativity fails on (1,2,5)"
+    for build in (build_group, build_group_entrywise):
+        with pytest.raises(ValueError) as info:
+            build(mul)
+        assert str(info.value) == message
+    assert message == "associativity fails on ({},{},{})".format(*first_nonassociative_triple(mul))
+
+
+@lru_cache(maxsize=None)
+def _groups_32_to_64() -> tuple:
+    """Cyclic groups of order 32 to 64, C2^5, C2^6, and products of C2^k, D8,
+    Q8 and small cyclic groups of order 32 to 64."""
+    factors = [cyclic(n) for n in (2, 4, 8)] + [elementary_abelian_2(2), dihedral8(), quaternion8()]
+    products = [
+        direct_product(a, b) for a, b in combinations_with_replacement(factors, 2) if 32 <= a.order * b.order <= 64
+    ]
+    products += [direct_product(dihedral8(), elementary_abelian_2(3)), direct_product(quaternion8(), cyclic(6))]
+    return tuple([cyclic(n) for n in range(32, 65)] + [elementary_abelian_2(5), elementary_abelian_2(6)] + products)
+
+
+@st.composite
+def tables_with_one_product_changed(draw) -> list[list[int]]:
+    """A group table of order 32 to 64 with the one entry x * y changed."""
+    group = draw(st.sampled_from(_groups_32_to_64()))
+    n = group.order
+    mul = [list(row) for row in group.mul]
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    # a 0 is drawn often: a row with two zeros, the first without its mirror
+    mul[x][y] = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    return mul
+
+
+def test_the_larger_drawn_groups_are_accepted_as_they_are():
+    orders = {group.order for group in _groups_32_to_64()}
+    assert min(orders) == 32 and max(orders) == 64
+    for group in _groups_32_to_64():
+        assert build_group(group.mul) == build_group_entrywise(group.mul)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_one_product_changed())
+def test_build_group_answers_as_the_entrywise_checks_at_orders_32_to_64(mul):
+    assert _outcome(build_group, mul) == _outcome(build_group_entrywise, mul)

@@ -171,3 +171,26 @@ def test_the_default_section_quotient_of_d8_is_pinned(capsys):
         hashlib.sha256(out.encode("utf-8")).hexdigest()
         == "ac382f001521c3bafb5dd20d5aa0300248db1b3435e6d4b147378a5258f152e0"
     )
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        # 2.0 == 2, and a float had no table row to read
+        ({0, 2.0}, "element id 2.0 out of range 0..3"),
+        # True == 1, and was read as the id 1 of the subgroup {0, 1, 2, 3}
+        ({0, True, 2, 3}, "element id True out of range 0..3"),
+        # {0, False} == {0} holds the int 0 alone; here False is the set's own
+        ({False, 1}, "element id False out of range 0..3"),
+        ({0, "1"}, "element id 1 out of range 0..3"),
+        # a non-int is named before an int out of range, non-ints by repr
+        ({0, 7, 2.0}, "element id 2.0 out of range 0..3"),
+        ({0, 3.0, 2.0}, "element id 2.0 out of range 0..3"),
+    ],
+    ids=["float", "True", "False", "str", "float and 7", "two floats"],
+)
+def test_is_subgroup_refuses_ids_that_are_not_ints(ids, message):
+    for route in (is_subgroup, is_normal, quotient, subgroup_as_group, build_extension):
+        with pytest.raises(ValueError) as info:
+            route(elementary_abelian_2(2), ids)
+        assert str(info.value) == message
