@@ -62,10 +62,16 @@ def build_group(
 
     Each axiom is one loop that names the first bad entry: each row's length
     and its entries' types (a bool or float is not an int) and range; 0 as
-    two-sided identity; an inverse of each x; associativity on every triple,
-    a row at a time: for each (a, b) row ab must be row a read at row b, a
-    gather made in C by one itemgetter per row b (which at order 1 returns a
-    bare entry, not a 1-tuple: there [[0]] is read by tuple)."""
+    two-sided identity; an inverse of each x.  Associativity is Light's test:
+    for each b of the greedy generating set A and each a, row ab must be row
+    a read at row b (a gather in C, one itemgetter per b).  It is exact: with
+    0 the identity, the b with (xb)y = x(by) for all x, y hold 0 and are
+    closed under products, so they are all of the table once A generates it.
+    In a group |A| <= log2 n, each generator at least doubling what is
+    reached: n |A| gathers, not n^2.  On any table the b that pass form a
+    group (each cancels, so its inverse passes too), so at most log2 n + 1
+    of A are tested.  Only a table that fails is walked over every (a, b),
+    a row at a time, to name its first failing triple."""
     n = len(mul)
     if n == 0:
         raise ValueError("empty multiplication table")
@@ -86,17 +92,40 @@ def build_group(
     for x in range(n):
         if not any(tab[x][y] == 0 and tab[y][x] == 0 for y in range(n)):
             raise ValueError(f"element {x} has no two-sided inverse")
-    reads = [itemgetter(*r) for r in tab] if n > 1 else [tuple]
-    for a, row in enumerate(tab):
-        for b, ab in enumerate(row):
-            if tab[ab] != reads[b](row):
-                c = next(c for c in range(n) if tab[ab][c] != row[tab[b][c]])
-                raise ValueError(f"associativity fails on ({a},{b},{c})")
+    # A is empty at order 1, so every getter reads n > 1 entries: a tuple
+    light = ((b, itemgetter(*tab[b])) for b in _greedy_generators(tab))
+    if any(tab[row[b]] != read(row) for b, read in light for row in tab):
+        reads = [itemgetter(*r) for r in tab]
+        for a, row in enumerate(tab):
+            for b, ab in enumerate(row):
+                if tab[ab] != reads[b](row):
+                    c = next(c for c in range(n) if tab[ab][c] != row[tab[b][c]])
+                    raise ValueError(f"associativity fails on ({a},{b},{c})")
     if labels is None:
         labels = tuple(f"e{i}" for i in range(n))
     elif len(labels) != n:
         raise ValueError("labels length does not match order")
     return _package(tab, [str(s) for s in labels], name, generators)
+
+
+def _greedy_generators(tab: Sequence[Sequence[int]]) -> list[int]:
+    """Each x in 0..n-1, in order, that the left-normed products of the
+    generators taken so far, starting from 0, do not reach.  Each (reached,
+    generator) pair is multiplied once: a new generator against everything
+    reached, a newly reached element against every generator."""
+    gens: list[int] = []
+    seen = [True] + [False] * (len(tab) - 1)
+    for x in range(len(tab)):
+        if seen[x]:
+            continue
+        gens.append(x)
+        todo = [(s, x) for s, known in enumerate(seen) if known]
+        while todo:
+            s, g = todo.pop()
+            if not seen[t := tab[s][g]]:
+                seen[t] = True
+                todo += [(t, h) for h in gens]
+    return gens
 
 
 def _package(

@@ -12,7 +12,9 @@ Associativity is compared a row at a time by one ``itemgetter`` per row,
 which at order 1 returns a bare entry instead of a 1-tuple: the trivial
 table is accepted, tables of order 32 to 64 with one product changed are
 answered as the entry-by-entry checks answer them, and the first failing
-triple of the order-256 table with 3 * 5 changed to 7 is pinned.
+triple of the order-256 table with 3 * 5 changed to 7 is pinned.  So is
+that of D8 x C2^5 with one product changed, whose greedy generating set
+{1, 2, 4, 8, 16, 32, 128} is not its bitmask basis.
 """
 
 import json
@@ -193,3 +195,25 @@ def test_the_larger_drawn_groups_are_accepted_as_they_are():
 @given(tables_with_one_product_changed())
 def test_build_group_answers_as_the_entrywise_checks_at_orders_32_to_64(mul):
     assert _outcome(build_group, mul) == _outcome(build_group_entrywise, mul)
+
+
+def _d8_c2_5(x: int, y: int, value: int) -> list[list[int]]:
+    """D8 x C2^5 as an order-256 table with the one entry x * y changed to value."""
+    mul = [list(row) for row in direct_product(dihedral8(), elementary_abelian_2(5)).mul]
+    mul[x][y] = value
+    return mul
+
+
+def test_the_d8_x_c2_5_first_failing_triple_is_pinned(capsys, tmp_path):
+    # ab * a3 = a2b (160 * 96 = 192) changed to a2b*g (193): 0 is neither
+    # the old nor the new entry, so the identity and every inverse survive
+    mul, message = _d8_c2_5(160, 96, 193), "associativity fails on (1,160,96)"
+    for build in (build_group, build_group_entrywise):
+        with pytest.raises(ValueError) as info:
+            build(mul)
+        assert str(info.value) == message
+    assert message == "associativity fails on ({},{},{})".format(*first_nonassociative_triple(mul))
+    path = tmp_path / "d8_c2_5_perturbed.json"
+    path.write_text(json.dumps({"mul": mul}), encoding="utf-8")
+    assert run(["--json", "group", "validate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
