@@ -31,12 +31,12 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     exponent,
+    greedy_generators,
     group_ring_units_finite,
     is_abelian,
     order_histogram,
     quotient,
     subgroup_as_group,
-    subgroup_closure,
     validate_section,
 )
 from .rings import TwElement, TwRing, is_torsion_unit_coords
@@ -72,12 +72,7 @@ class ExtensionData:
     def _sub_generators(self) -> tuple[int, ...]:
         """A generating set of N, each element outside the span of those
         before it, so at most log2 |N| of them: transgress reads their rows."""
-        gens, covered = [], {0}
-        for a in self.sub_group.elements():
-            if a not in covered:
-                gens.append(a)
-                covered = subgroup_closure(self.sub_group, gens)
-        return tuple(gens)
+        return tuple(greedy_generators(self.sub_group.mul))
 
 
 def build_extension(

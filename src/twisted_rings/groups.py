@@ -93,7 +93,7 @@ def build_group(
         if not any(tab[x][y] == 0 and tab[y][x] == 0 for y in range(n)):
             raise ValueError(f"element {x} has no two-sided inverse")
     # A is empty at order 1, so every getter reads n > 1 entries: a tuple
-    light = ((b, itemgetter(*tab[b])) for b in _greedy_generators(tab))
+    light = ((b, itemgetter(*tab[b])) for b in greedy_generators(tab))
     if any(tab[row[b]] != read(row) for b, read in light for row in tab):
         reads = [itemgetter(*r) for r in tab]
         for a, row in enumerate(tab):
@@ -108,23 +108,30 @@ def build_group(
     return _package(tab, [str(s) for s in labels], name, generators)
 
 
-def _greedy_generators(tab: Sequence[Sequence[int]]) -> list[int]:
+def greedy_generators(tab: Sequence[Sequence[int]]) -> list[int]:
     """Each x in 0..n-1, in order, that the left-normed products of the
     generators taken so far, starting from 0, do not reach.  Each (reached,
     generator) pair is multiplied once: a new generator against everything
     reached, a newly reached element against every generator."""
     gens: list[int] = []
     seen = [True] + [False] * (len(tab) - 1)
+    reached = [0]
     for x in range(len(tab)):
         if seen[x]:
             continue
         gens.append(x)
-        todo = [(s, x) for s, known in enumerate(seen) if known]
-        while todo:
-            s, g = todo.pop()
-            if not seen[t := tab[s][g]]:
+        new = []
+        for s in reached:
+            if not seen[t := tab[s][x]]:
                 seen[t] = True
-                todo += [(t, h) for h in gens]
+                new.append(t)
+        while new:
+            s = new.pop()
+            reached.append(s)
+            for g in gens:
+                if not seen[t := tab[s][g]]:
+                    seen[t] = True
+                    new.append(t)
     return gens
 
 

@@ -8,12 +8,13 @@ mutation each, ``build_group`` must raise the same exception type with the
 same message, or return an equal ``FiniteGroup``.  Three order-256
 messages are pinned as the entry-by-entry checks printed them.
 
-Associativity is compared a row at a time by one ``itemgetter`` per row,
-which at order 1 returns a bare entry instead of a 1-tuple: the trivial
-table is accepted, tables of order 32 to 64 with one product changed are
-answered as the entry-by-entry checks answer them, and the first failing
-triple of the order-256 table with 3 * 5 changed to 7 is pinned.  So is
-that of D8 x C2^5 with one product changed, whose greedy generating set
+Associativity is decided by Light's test on a greedy generating set, and
+only a refused table is walked triple by triple to name its first failing
+triple: the trivial table (whose set is empty) is accepted, tables of
+order 32 to 64 with one product changed are answered as the
+entry-by-entry checks answer them, and the first failing triple of the
+order-256 table with 3 * 5 changed to 7 is pinned.  So is that of
+D8 x C2^5 with one product changed, whose greedy generating set
 {1, 2, 4, 8, 16, 32, 128} is not its bitmask basis.
 """
 

@@ -1,7 +1,7 @@
 """``build_group`` decides associativity by Light's test on a greedy
 generating set, and walks a refused table triple by triple.
 
-``groups._greedy_generators`` must return a set whose left-normed products,
+``groups.greedy_generators`` must return a set whose left-normed products,
 from 0, reach every element, with at most log2 n members in a group, and
 the same set as a walk that recomputes the reached products from 0 each
 time the set grows.  On C2^k with one intercalate swapped, a Latin square
@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from oracles import first_nonassociative_triple
 from twisted_rings.groups import (
-    _greedy_generators,
     all_subgroups,
     build_group,
     build_preset,
     dihedral8,
     direct_product,
     elementary_abelian_2,
+    greedy_generators,
     quaternion8,
     subgroup_as_group,
 )
@@ -87,14 +87,14 @@ def test_the_drawn_groups_cover_every_order_to_64_and_the_subgroups_of_d8_x_c2()
 
 def test_the_greedy_set_generates_each_group_with_at_most_log2_n_members():
     for group in _groups():
-        gens = _greedy_generators(group.mul)
+        gens = greedy_generators(group.mul)
         assert _reached(group.mul, gens) == set(group.elements()), group
         assert 1 << len(gens) <= group.order, group
 
 
 def test_the_incremental_walk_returns_the_greedy_set_by_its_definition():
     for group in _groups():
-        assert _greedy_generators(group.mul) == _greedy_by_restart(group.mul), group
+        assert greedy_generators(group.mul) == _greedy_by_restart(group.mul), group
 
 
 @st.composite
@@ -113,13 +113,13 @@ def tables_with_identity(draw) -> list[list[int]]:
 @settings(max_examples=300, deadline=None)
 @given(tables_with_identity())
 def test_the_incremental_walk_follows_the_definition_on_any_table(mul):
-    assert _greedy_generators(mul) == _greedy_by_restart(mul)
+    assert greedy_generators(mul) == _greedy_by_restart(mul)
 
 
 def test_the_order_256_greedy_sets():
     d8_c2_5 = direct_product(dihedral8(), elementary_abelian_2(5))
-    assert _greedy_generators(d8_c2_5.mul) == [1, 2, 4, 8, 16, 32, 128]
-    assert _greedy_generators(elementary_abelian_2(8).mul) == [1 << i for i in range(8)]
+    assert greedy_generators(d8_c2_5.mul) == [1, 2, 4, 8, 16, 32, 128]
+    assert greedy_generators(elementary_abelian_2(8).mul) == [1 << i for i in range(8)]
 
 
 @st.composite
@@ -158,7 +158,7 @@ def test_a_swapped_intercalate_is_refused_at_the_oracles_first_triple(mul):
 def test_the_255_generator_table_is_refused_with_the_triple_loops_message():
     # x x = 0 and x y = max(x, y): each x past 0 is a greedy generator
     mul = [[0 if x == y else max(x, y) for y in range(256)] for x in range(256)]
-    assert _greedy_generators(mul) == list(range(1, 256))
+    assert greedy_generators(mul) == list(range(1, 256))
     with pytest.raises(ValueError) as info:
         build_group(mul)
     assert str(info.value) == "associativity fails on (1,2,2)"
